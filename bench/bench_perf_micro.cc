@@ -1,6 +1,6 @@
 // Performance micro-benchmarks (not in the paper): throughput of the
-// substrates — SVD, wikitext parsing, similarity computation, and the
-// end-to-end aligner — via google-benchmark.
+// substrates — SVD, dump and wikitext parsing, similarity computation, and
+// the end-to-end aligner — via google-benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include "synth/generator.h"
 #include "text/string_similarity.h"
 #include "util/rng.h"
+#include "wiki/dump_reader.h"
 #include "wiki/wikitext_parser.h"
 
 using namespace wikimatch;
@@ -62,6 +63,29 @@ void BM_WikitextParse(benchmark::State& state) {
                           static_cast<int64_t>(source.size()));
 }
 BENCHMARK(BM_WikitextParse);
+
+// Dump XML parsing over a growing number of pages. ->Complexity() prints
+// the fitted order; with each page scanned only within its own
+// <page>...</page> window, bytes_per_second stays flat across sizes.
+void BM_ParseDump(benchmark::State& state) {
+  const std::string page =
+      "  <page>\n    <title>Filme &amp; cia</title>\n    <ns>0</ns>\n"
+      "    <revision>\n      <text xml:space=\"preserve\">{{Info filme\n"
+      "| direção = [[Bernardo Bertolucci]]\n| receita = US$ 44000000\n}}\n"
+      "'''Filme''' &lt;ref&gt;x&lt;/ref&gt;\n[[en:Film]]</text>\n"
+      "    </revision>\n  </page>\n";
+  std::string xml = "<mediawiki xml:lang=\"pt\">\n";
+  for (int64_t i = 0; i < state.range(0); ++i) xml += page;
+  xml += "</mediawiki>\n";
+  for (auto _ : state) {
+    auto pages = wiki::ParseDump(xml);
+    benchmark::DoNotOptimize(pages);
+  }
+  state.SetComplexityN(state.range(0));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(xml.size()));
+}
+BENCHMARK(BM_ParseDump)->RangeMultiplier(4)->Range(256, 16384)->Complexity();
 
 void BM_StringSimilarity(benchmark::State& state) {
   const std::string a = "elenco original";

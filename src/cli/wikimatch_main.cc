@@ -122,7 +122,7 @@ void Usage() {
                "  --translate            translate the query across --pair\n"
                "  --tsim / --tlsi <v>    WikiMatch thresholds\n"
                "  --threads <n>          pool workers cooperating on "
-               "per-type alignment\n"
+               "dump parsing and per-type alignment\n"
                "  --align-threads <n>    pool workers cooperating inside "
                "one type pair's similarity join (both knobs share one "
                "pool sized to the larger of the two — nested loops "
@@ -256,14 +256,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return true;
 }
 
-// Loads all --dump files into a finalized corpus.
-util::Result<wiki::Corpus> LoadCorpus(const Args& args) {
+// Loads all --dump files into a finalized corpus, parsing each dump's
+// pages on up to `threads` pool workers.
+util::Result<wiki::Corpus> LoadCorpus(const Args& args, size_t threads) {
   wiki::Corpus corpus;
   wiki::WikitextParser parser;
   for (const auto& [lang, path] : args.dumps) {
     auto pages = wiki::ReadDumpFile(path);
     if (!pages.ok()) return pages.status().WithContext(path);
-    auto added = corpus.IngestDump(*pages, lang, parser);
+    auto added = corpus.IngestDump(*pages, lang, parser, threads);
     if (!added.ok()) return added.status().WithContext(path);
     std::fprintf(stderr, "loaded %zu %s articles from %s\n", *added,
                  lang.c_str(), path.c_str());
@@ -277,7 +278,7 @@ int RunMatch(const Args& args, bool types_only) {
     Usage();
     return 2;
   }
-  auto corpus = LoadCorpus(args);
+  auto corpus = LoadCorpus(args, args.num_threads);
   if (!corpus.ok()) {
     std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
     return 1;
@@ -358,7 +359,7 @@ int RunQuery(const Args& args) {
     Usage();
     return 2;
   }
-  auto corpus = LoadCorpus(args);
+  auto corpus = LoadCorpus(args, args.num_threads);
   if (!corpus.ok()) {
     std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
     return 1;
@@ -446,6 +447,10 @@ int RunBuildSnapshot(const Args& args) {
     Usage();
     return 2;
   }
+  // Offline builds default to every core; the output stays byte-identical
+  // at any thread count (see PipelineOptions::num_threads).
+  const size_t threads =
+      args.num_threads > 0 ? args.num_threads : util::DefaultThreads();
   wiki::Corpus corpus;
   if (args.synth_scale > 0.0) {
     std::fprintf(stderr, "generating synthetic corpus (scale %.2f)...\n",
@@ -459,7 +464,7 @@ int RunBuildSnapshot(const Args& args) {
     }
     corpus = std::move(gc->corpus);
   } else {
-    auto loaded = LoadCorpus(args);
+    auto loaded = LoadCorpus(args, threads);
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 1;
@@ -471,10 +476,7 @@ int RunBuildSnapshot(const Args& args) {
   match::PipelineOptions options;
   options.matcher.t_sim = args.t_sim;
   options.matcher.t_lsi = args.t_lsi;
-  // Offline builds default to every core; alignment output order stays
-  // deterministic regardless (see PipelineOptions::num_threads).
-  options.num_threads =
-      args.num_threads > 0 ? args.num_threads : util::DefaultThreads();
+  options.num_threads = threads;
   if (args.align_threads > 0) {
     options.matcher.num_threads = args.align_threads;
   }
@@ -527,26 +529,21 @@ int RunBuildSnapshot(const Args& args) {
   return 0;
 }
 
-// Parses every --dump file and classifies its articles against the
-// snapshot corpus: pages whose (language, title) already exist become
-// updates, the rest become additions. --remove entries become deletions.
+// Parses every --dump file (on up to `threads` pool workers) and
+// classifies its articles against the snapshot corpus: pages whose
+// (language, title) already exist become updates, the rest become
+// additions. --remove entries become deletions.
 util::Result<ingest::DeltaBatch> BuildDeltaBatch(const Args& args,
-                                                 const wiki::Corpus& corpus) {
+                                                 const wiki::Corpus& corpus,
+                                                 size_t threads) {
   ingest::DeltaBatch batch;
   wiki::WikitextParser parser;
   for (const auto& [lang, path] : args.dumps) {
     auto pages = wiki::ReadDumpFile(path);
     if (!pages.ok()) return pages.status().WithContext(path);
     size_t updated = 0, added = 0;
-    for (const auto& page : *pages) {
-      if (page.ns != 0) continue;
-      auto parsed = parser.ParseArticle(page.title, lang, page.text);
-      if (!parsed.ok()) {
-        WIKIMATCH_LOG(Warning) << "skipping page '" << page.title
-                               << "': " << parsed.status().ToString();
-        continue;
-      }
-      wiki::Article article = std::move(parsed).ValueOrDie();
+    for (wiki::Article& article :
+         wiki::ParsePages(*pages, lang, parser, threads)) {
       if (corpus.FindExactTitle(lang, article.title) !=
           wiki::kInvalidArticle) {
         batch.updated.push_back(std::move(article));
@@ -662,7 +659,7 @@ int RunApplyDelta(const Args& args) {
     return 1;
   }
   ingest::IncrementalMatcher matcher = std::move(matcher_or).ValueOrDie();
-  auto batch = BuildDeltaBatch(args, matcher.corpus());
+  auto batch = BuildDeltaBatch(args, matcher.corpus(), options.num_threads);
   if (!batch.ok()) {
     std::fprintf(stderr, "%s\n", batch.status().ToString().c_str());
     return 1;

@@ -166,21 +166,14 @@ void Corpus::RestoreArticles(
 
 util::Result<size_t> Corpus::IngestDump(const std::vector<DumpPage>& pages,
                                         const std::string& language,
-                                        const WikitextParser& parser) {
+                                        const WikitextParser& parser,
+                                        size_t threads) {
   size_t added = 0;
-  for (const auto& page : pages) {
-    if (page.ns != 0) continue;  // Redirects are kept: links resolve
-                                 // through them.
-    auto parsed = parser.ParseArticle(page.title, language, page.text);
-    if (!parsed.ok()) {
-      WIKIMATCH_LOG(Warning) << "skipping page '" << page.title
-                             << "': " << parsed.status().ToString();
-      continue;
-    }
-    auto id = AddArticle(std::move(parsed).ValueOrDie());
+  for (Article& article : ParsePages(pages, language, parser, threads)) {
+    auto id = AddArticle(std::move(article));
     if (!id.ok()) {
-      WIKIMATCH_LOG(Warning) << "skipping duplicate page '" << page.title
-                             << "'";
+      WIKIMATCH_LOG(Warning) << "skipping duplicate page '"
+                             << id.status().message() << "'";
       continue;
     }
     ++added;

@@ -77,11 +77,15 @@ class Corpus {
   /// removed records. Un-finalizes the corpus.
   void RestoreArticles(std::vector<std::pair<ArticleId, Article>> originals);
 
-  /// \brief Parses every main-namespace, non-redirect page of a dump with
-  /// `parser` and adds the results. Returns the number of articles added.
+  /// \brief Parses every main-namespace page of a dump (redirects
+  /// included) with `parser` on up to `threads` pool workers (see
+  /// ParsePages), then adds the results serially in page order, so ids and
+  /// duplicate handling do not depend on `threads`. Returns the number of
+  /// articles added.
   util::Result<size_t> IngestDump(const std::vector<DumpPage>& pages,
                                   const std::string& language,
-                                  const WikitextParser& parser);
+                                  const WikitextParser& parser,
+                                  size_t threads = 1);
 
   /// \brief Resolves entity types (from infobox templates), symmetrizes the
   /// cross-language link graph (if A links to B, B links to A), and builds

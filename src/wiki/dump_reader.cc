@@ -1,17 +1,20 @@
 #include "wiki/dump_reader.h"
 
-#include <cstdio>
 #include <cstdlib>
 
-#include "util/string_util.h"
+#include "util/file_io.h"
+#include "util/utf8.h"
 
 namespace wikimatch {
 namespace wiki {
 
 std::string XmlUnescape(std::string_view s) {
+  size_t amp = s.find('&');
+  if (amp == std::string_view::npos) return std::string(s);
   std::string out;
   out.reserve(s.size());
-  size_t i = 0;
+  out.append(s.substr(0, amp));
+  size_t i = amp;
   while (i < s.size()) {
     if (s[i] != '&') {
       out.push_back(s[i]);
@@ -36,30 +39,17 @@ std::string XmlUnescape(std::string_view s) {
     } else if (ent == "apos") {
       out.push_back('\'');
     } else if (!ent.empty() && ent[0] == '#') {
-      long cp = 0;
-      if (ent.size() > 2 && (ent[1] == 'x' || ent[1] == 'X')) {
-        cp = std::strtol(std::string(ent.substr(2)).c_str(), nullptr, 16);
-      } else {
-        cp = std::strtol(std::string(ent.substr(1)).c_str(), nullptr, 10);
-      }
-      if (cp > 0 && cp <= 0x10FFFF) {
-        // Inline UTF-8 encoding of the code point.
-        char32_t c = static_cast<char32_t>(cp);
-        if (c < 0x80) {
-          out.push_back(static_cast<char>(c));
-        } else if (c < 0x800) {
-          out.push_back(static_cast<char>(0xC0 | (c >> 6)));
-          out.push_back(static_cast<char>(0x80 | (c & 0x3F)));
-        } else if (c < 0x10000) {
-          out.push_back(static_cast<char>(0xE0 | (c >> 12)));
-          out.push_back(static_cast<char>(0x80 | ((c >> 6) & 0x3F)));
-          out.push_back(static_cast<char>(0x80 | (c & 0x3F)));
-        } else {
-          out.push_back(static_cast<char>(0xF0 | (c >> 18)));
-          out.push_back(static_cast<char>(0x80 | ((c >> 12) & 0x3F)));
-          out.push_back(static_cast<char>(0x80 | ((c >> 6) & 0x3F)));
-          out.push_back(static_cast<char>(0x80 | (c & 0x3F)));
-        }
+      // ent is at most 11 bytes (semi - i <= 12), so it fits with its NUL.
+      char digits[16] = {};
+      bool hex = ent.size() > 2 && (ent[1] == 'x' || ent[1] == 'X');
+      std::string_view body = ent.substr(hex ? 2 : 1);
+      body.copy(digits, body.size());
+      long cp = std::strtol(digits, nullptr, hex ? 16 : 10);
+      // Code points past U+10FFFF and UTF-16 surrogates (U+D800-U+DFFF)
+      // have no UTF-8 encoding; they are dropped.
+      bool surrogate = cp >= 0xD800 && cp <= 0xDFFF;
+      if (cp > 0 && cp <= 0x10FFFF && !surrogate) {
+        util::AppendUtf8(static_cast<char32_t>(cp), &out);
       }
     } else {
       // Unknown entity: keep verbatim.
@@ -96,84 +86,101 @@ std::string XmlEscape(std::string_view s) {
 
 namespace {
 
-// Extracts the text content of the first <tag ...>...</tag> in `s` starting
-// at `from`. Returns false when the open tag is absent. Sets *next to just
-// past the close tag.
-bool ExtractElement(std::string_view s, std::string_view tag, size_t from,
-                    size_t limit, std::string* content, size_t* next) {
-  std::string open1 = "<" + std::string(tag) + ">";
-  std::string open2 = "<" + std::string(tag) + " ";
-  std::string close = "</" + std::string(tag) + ">";
-  size_t open_pos = s.find(open1, from);
-  size_t open_len = open1.size();
-  size_t alt = s.find(open2, from);
-  if (alt != std::string_view::npos &&
-      (open_pos == std::string_view::npos || alt < open_pos)) {
-    // Attribute form: skip to the closing '>'.
-    size_t gt = s.find('>', alt);
-    if (gt == std::string_view::npos) return false;
-    open_pos = alt;
-    open_len = gt - alt + 1;
+// Where one element of a page sits in its window: the first open tag,
+// plain (<tag>) or with attributes (<tag ...>), and the first close tag
+// after it. Offsets are relative to the window; npos when absent.
+struct ElementSpan {
+  std::string_view name;  // tag name, e.g. "title"
+  size_t body = std::string_view::npos;
+  size_t end = std::string_view::npos;
+
+  bool found() const { return end != std::string_view::npos; }
+};
+
+// True when `window` holds `word` at `at`.
+bool HasAt(std::string_view window, size_t at, std::string_view word) {
+  return window.compare(at, word.size(), word) == 0;
+}
+
+// Notes the markup starting at window[lt] == '<' against `span`: the
+// first open tag sets the body start, the first matching close tag at or
+// after it sets the end.
+void Observe(std::string_view window, size_t lt, ElementSpan* span) {
+  std::string_view name = span->name;
+  if (span->body == std::string_view::npos) {
+    if (!HasAt(window, lt + 1, name)) return;
+    size_t after = lt + 1 + name.size();
+    if (after >= window.size()) return;
+    if (window[after] == '>') {
+      span->body = after + 1;
+    } else if (window[after] == ' ') {
+      // Attribute form: the body starts past the tag's closing '>'. With
+      // no '>' left in the page the element is absent.
+      size_t gt = window.find('>', after);
+      span->body = gt == std::string_view::npos ? window.size() : gt + 1;
+    }
+    return;
   }
-  if (open_pos == std::string_view::npos || open_pos >= limit) return false;
-  size_t body_start = open_pos + open_len;
-  size_t close_pos = s.find(close, body_start);
-  if (close_pos == std::string_view::npos || close_pos > limit) return false;
-  *content = XmlUnescape(s.substr(body_start, close_pos - body_start));
-  if (next != nullptr) *next = close_pos + close.size();
-  return true;
+  if (span->found() || lt < span->body || window[lt + 1] != '/') return;
+  size_t after = lt + 2 + name.size();
+  if (HasAt(window, lt + 2, name) && after < window.size() &&
+      window[after] == '>') {
+    span->end = lt;
+  }
+}
+
+// Parses one <page> body, `window` = [just past "<page>", "</page>").
+// Every search stays inside the window, and the markup is visited in one
+// forward pass over its '<' bytes: wikitext inside <text> is escaped, so
+// the pass jumps from tag to tag.
+util::Status ParsePage(std::string_view window, DumpPage* page) {
+  ElementSpan title{"title"};
+  ElementSpan ns{"ns"};
+  ElementSpan text{"text"};
+  for (size_t lt = window.find('<'); lt != std::string_view::npos;
+       lt = window.find('<', lt + 1)) {
+    if (lt + 1 >= window.size()) break;
+    Observe(window, lt, &title);
+    Observe(window, lt, &ns);
+    Observe(window, lt, &text);
+    if (HasAt(window, lt + 1, "redirect")) page->is_redirect = true;
+  }
+  auto body = [&](const ElementSpan& span) {
+    return window.substr(span.body, span.end - span.body);
+  };
+  if (!title.found()) return util::Status::ParseError("<page> without <title>");
+  page->title = XmlUnescape(body(title));
+  if (ns.found()) page->ns = std::atoi(XmlUnescape(body(ns)).c_str());
+  if (text.found()) page->text = XmlUnescape(body(text));
+  return util::Status::OK();
 }
 
 }  // namespace
 
 util::Result<std::vector<DumpPage>> ParseDump(std::string_view xml) {
+  constexpr std::string_view kOpen = "<page>";
+  constexpr std::string_view kClose = "</page>";
   std::vector<DumpPage> pages;
   size_t pos = 0;
   while (true) {
-    size_t page_open = xml.find("<page>", pos);
+    size_t page_open = xml.find(kOpen, pos);
     if (page_open == std::string_view::npos) break;
-    size_t page_close = xml.find("</page>", page_open);
+    size_t page_close = xml.find(kClose, page_open);
     if (page_close == std::string_view::npos) {
       return util::Status::ParseError("unterminated <page> element");
     }
-    DumpPage page;
-    std::string content;
-    if (!ExtractElement(xml, "title", page_open, page_close, &content,
-                        nullptr)) {
-      return util::Status::ParseError("<page> without <title>");
-    }
-    page.title = content;
-    if (ExtractElement(xml, "ns", page_open, page_close, &content, nullptr)) {
-      page.ns = std::atoi(content.c_str());
-    }
-    page.is_redirect =
-        xml.substr(page_open, page_close - page_open).find("<redirect") !=
-        std::string_view::npos;
-    if (ExtractElement(xml, "text", page_open, page_close, &content,
-                       nullptr)) {
-      page.text = content;
-    }
-    pages.push_back(std::move(page));
-    pos = page_close + 7;
+    size_t body = page_open + kOpen.size();
+    DumpPage& page = pages.emplace_back();
+    WIKIMATCH_RETURN_NOT_OK(
+        ParsePage(xml.substr(body, page_close - body), &page));
+    pos = page_close + kClose.size();
   }
   return pages;
 }
 
 util::Result<std::vector<DumpPage>> ReadDumpFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string buf(static_cast<size_t>(size), '\0');
-  size_t read = std::fread(buf.data(), 1, buf.size(), f);
-  std::fclose(f);
-  if (read != buf.size()) {
-    return util::Status::IoError("short read on " + path);
-  }
-  return ParseDump(buf);
+  WIKIMATCH_ASSIGN_OR_RETURN(std::string xml, util::ReadFileToString(path));
+  return ParseDump(xml);
 }
 
 std::string WriteDump(const std::vector<DumpPage>& pages,

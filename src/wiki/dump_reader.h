@@ -2,8 +2,11 @@
 //
 // Parses the subset of the pages-articles dump schema needed to extract
 // (title, wikitext) pairs: <mediawiki><page><title/><ns/><redirect/>
-// <revision><text/></revision></page>... A hand-rolled streaming scanner —
-// no XML library dependency — with entity unescaping.
+// <revision><text/></revision></page>... A hand-rolled scanner — no XML
+// library dependency — with entity unescaping. It is not streaming: the
+// whole dump is read into memory first. Each page is then parsed in one
+// forward pass bounded by its <page>...</page> window, so a dump parses
+// in time linear in its size.
 
 #ifndef WIKIMATCH_WIKI_DUMP_READER_H_
 #define WIKIMATCH_WIKI_DUMP_READER_H_
@@ -29,7 +32,9 @@ struct DumpPage {
 };
 
 /// \brief Unescapes the five predefined XML entities plus numeric
-/// references (&#...; and &#x...;).
+/// references (&#...; and &#x...;). References to code points with no
+/// UTF-8 encoding (0, surrogates U+D800-U+DFFF, past U+10FFFF) are
+/// dropped; unknown entities are kept verbatim.
 std::string XmlUnescape(std::string_view s);
 
 /// \brief Escapes text for embedding in an XML element.
@@ -39,7 +44,8 @@ std::string XmlEscape(std::string_view s);
 /// problems (unterminated elements).
 util::Result<std::vector<DumpPage>> ParseDump(std::string_view xml);
 
-/// \brief Reads and parses a dump file.
+/// \brief Reads and parses a dump file. IoError when the path cannot be
+/// read to its end (missing file, directory).
 util::Result<std::vector<DumpPage>> ReadDumpFile(const std::string& path);
 
 /// \brief Serializes pages into dump XML (used by the synthetic generator

@@ -6,6 +6,7 @@
 #include "text/normalize.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace wiki {
@@ -380,6 +381,40 @@ util::Result<Article> WikitextParser::ParseArticle(
   }
 
   return article;
+}
+
+std::vector<Article> ParsePages(const std::vector<DumpPage>& pages,
+                                const std::string& language,
+                                const WikitextParser& parser, size_t threads) {
+  std::vector<const DumpPage*> main_pages;
+  for (const DumpPage& page : pages) {
+    if (page.ns == 0) main_pages.push_back(&page);
+  }
+  // Each worker writes only its own slots; failures are compacted out
+  // afterwards, serially and in page order.
+  std::vector<Article> articles(main_pages.size());
+  std::vector<util::Status> errors(main_pages.size());
+  util::thread_pool_for(main_pages.size(), threads, [&](size_t i) {
+    const DumpPage& page = *main_pages[i];
+    auto parsed = parser.ParseArticle(page.title, language, page.text);
+    if (parsed.ok()) {
+      articles[i] = std::move(parsed).ValueOrDie();
+    } else {
+      errors[i] = parsed.status();
+    }
+  });
+  size_t kept = 0;
+  for (size_t i = 0; i < articles.size(); ++i) {
+    if (!errors[i].ok()) {
+      WIKIMATCH_LOG(Warning) << "skipping page '" << main_pages[i]->title
+                             << "': " << errors[i].ToString();
+      continue;
+    }
+    if (kept != i) articles[kept] = std::move(articles[i]);
+    ++kept;
+  }
+  articles.resize(kept);
+  return articles;
 }
 
 }  // namespace wiki

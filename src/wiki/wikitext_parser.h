@@ -21,6 +21,7 @@
 
 #include "util/result.h"
 #include "wiki/article.h"
+#include "wiki/dump_reader.h"
 
 namespace wikimatch {
 namespace wiki {
@@ -84,6 +85,15 @@ class WikitextParser {
 /// returns true and sets [begin, end) byte offsets of the template including
 /// braces. Nesting-aware.
 bool FindTemplate(std::string_view s, size_t from, size_t* begin, size_t* end);
+
+/// \brief Parses every main-namespace (ns 0) page of a dump, redirects
+/// included, with `parser` on up to `threads` workers of the shared pool
+/// (<= 1 runs inline). Returns the articles in page order; pages that fail
+/// to parse are skipped and logged in page order. The output does not
+/// depend on `threads`.
+std::vector<Article> ParsePages(const std::vector<DumpPage>& pages,
+                                const std::string& language,
+                                const WikitextParser& parser, size_t threads);
 
 }  // namespace wiki
 }  // namespace wikimatch

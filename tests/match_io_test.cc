@@ -61,6 +61,14 @@ TEST(MatchIoTest, FileRoundTrip) {
   EXPECT_FALSE(LoadMatchSets(path).ok());
 }
 
+TEST(MatchIoTest, DirectoryIsAnIoError) {
+  // A directory opens but cannot be read; it must fail cleanly, not size
+  // a buffer from a bogus seek offset.
+  auto loaded = LoadMatchSets(::testing::TempDir());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kIoError);
+}
+
 TEST(MatchIoTest, DictionaryRoundTrip) {
   TranslationDictionary original;
   original.Add("pt", "o último imperador", "en", "the last emperor");

@@ -206,6 +206,21 @@ TEST(XmlUnescapeTest, NumericEntities) {
   EXPECT_EQ(XmlUnescape("&unknown;"), "&unknown;");
 }
 
+TEST(XmlUnescapeTest, SurrogateReferencesAreDropped) {
+  // U+D800-U+DFFF have no UTF-8 encoding; like references past U+10FFFF
+  // they are dropped rather than emitted as invalid bytes (ED A0 80).
+  EXPECT_EQ(XmlUnescape("&#xD800;"), "");
+  EXPECT_EQ(XmlUnescape("a&#xDFFF;b&#55296;c&#x110000;d"), "abcd");
+  // The neighbours of the surrogate block still encode.
+  EXPECT_EQ(XmlUnescape("&#xD7FF;&#xE000;"), "\xED\x9F\xBF\xEE\x80\x80");
+  auto pages = ParseDump(
+      "<page><title>T&#xDBFF;&#xDC00;</title><revision><text>x&#xD83D;"
+      "</text></revision></page>");
+  ASSERT_TRUE(pages.ok());
+  EXPECT_EQ((*pages)[0].title, "T");
+  EXPECT_EQ((*pages)[0].text, "x");
+}
+
 TEST(DumpReaderTest, ParsesPages) {
   std::string xml =
       "<mediawiki><page><title>A &amp; B</title><ns>0</ns>"
@@ -243,6 +258,12 @@ TEST(DumpReaderTest, ErrorsOnUnterminatedPage) {
 
 TEST(DumpReaderTest, MissingFile) {
   EXPECT_FALSE(ReadDumpFile("/nonexistent/path.xml").ok());
+}
+
+TEST(DumpReaderTest, DirectoryIsAnIoError) {
+  auto pages = ReadDumpFile(::testing::TempDir());
+  ASSERT_FALSE(pages.ok());
+  EXPECT_EQ(pages.status().code(), util::StatusCode::kIoError);
 }
 
 // ----------------------------------------------------------------- Corpus

@@ -244,7 +244,8 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
         -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=OFF &&
       cmake --build "$tsan_dir" -j --target thread_pool_test parallel_test \
         align_join_test serve_test lru_cache_test net_server_test \
-        protocol_robustness_test ingest_test sync_test deadlock_test &&
+        protocol_robustness_test ingest_test sync_test deadlock_test \
+        robustness_test &&
       "$tsan_dir"/tests/deadlock_test &&
       # thread_pool_test stresses the shared work-stealing pool itself:
       # nested For, async steal-on-wait, handle reuse after pool death,
@@ -268,7 +269,10 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       # sync_test classifies article pairs on the shared pool at several
       # thread counts (byte-identity across counts) and runs Resync
       # concurrently with full Run results.
-      "$tsan_dir"/tests/sync_test
+      "$tsan_dir"/tests/sync_test &&
+      # Dump ingest parses a dump's pages on the shared pool at 1 and 4
+      # threads (byte-identical corpus either way).
+      "$tsan_dir"/tests/robustness_test --gtest_filter='DumpIngestTest.*'
     }
     run_stage "TSan concurrency tests" stage_tsan
   else
