@@ -202,13 +202,21 @@ TEST(PrefixTest, CommonPrefixLength) {
 }
 
 // Property sweep: every similarity is symmetric, in [0,1], and 1 on
-// identical strings.
+// identical strings. Each case prints as its measure's name, not as a
+// function address, so the test names do not change from run to run.
 using SimilarityFn = double (*)(std::string_view, std::string_view);
+struct NamedSimilarity {
+  const char* name;
+  SimilarityFn fn;
+};
+void PrintTo(const NamedSimilarity& measure, std::ostream* os) {
+  *os << measure.name;
+}
 class SimilarityPropertyTest
-    : public ::testing::TestWithParam<SimilarityFn> {};
+    : public ::testing::TestWithParam<NamedSimilarity> {};
 
 TEST_P(SimilarityPropertyTest, SymmetricBoundedReflexive) {
-  SimilarityFn fn = GetParam();
+  SimilarityFn fn = GetParam().fn;
   const std::vector<std::string> samples = {
       "starring", "elenco original", "直", "đạo diễn", "direção", "a",
       "editora", "editor", "release date", ""};
@@ -220,7 +228,9 @@ TEST_P(SimilarityPropertyTest, SymmetricBoundedReflexive) {
       EXPECT_GE(ab, 0.0);
       EXPECT_LE(ab, 1.0);
     }
-    if (!a.empty()) EXPECT_NEAR(fn(a, a), 1.0, 1e-12) << a;
+    if (!a.empty()) {
+      EXPECT_NEAR(fn(a, a), 1.0, 1e-12) << a;
+    }
   }
 }
 
@@ -231,11 +241,13 @@ double BigramJaccardWrap(std::string_view a, std::string_view b) {
   return NgramJaccard(a, b, 2);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMeasures, SimilarityPropertyTest,
-                         ::testing::Values(&LevenshteinSimilarity,
-                                           &JaroSimilarity,
-                                           &JaroWinklerSimilarity,
-                                           &TrigramWrap, &BigramJaccardWrap));
+INSTANTIATE_TEST_SUITE_P(
+    AllMeasures, SimilarityPropertyTest,
+    ::testing::Values(NamedSimilarity{"Levenshtein", &LevenshteinSimilarity},
+                      NamedSimilarity{"Jaro", &JaroSimilarity},
+                      NamedSimilarity{"JaroWinkler", &JaroWinklerSimilarity},
+                      NamedSimilarity{"Trigram", &TrigramWrap},
+                      NamedSimilarity{"BigramJaccard", &BigramJaccardWrap}));
 
 }  // namespace
 }  // namespace text
