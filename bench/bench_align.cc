@@ -50,7 +50,6 @@
 #include "match/aligner.h"
 #include "match/join_kernels.h"
 #include "match/schema_builder.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 

@@ -19,7 +19,7 @@
 #include "serve/match_service.h"
 #include "store/snapshot.h"
 #include "synth/generator.h"
-#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace {
@@ -89,8 +89,8 @@ int Run() {
   }
 
   // ---- cold load ----
-  // With the mmap directory this is O(1) in snapshot size: the decode is
-  // deferred, so the honest total cost of reaching the first data answer
+  // O(1) in snapshot size (Load maps the file and walks only the section
+  // headers): the decode is deferred, so the honest total cost of reaching the first data answer
   // is load_ms + core_build_ms (reported separately below).
   auto load_start = Clock::now();
   auto service = serve::MatchService::Load(path);

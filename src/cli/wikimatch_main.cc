@@ -723,22 +723,13 @@ int RunServe(const Args& args) {
     return 1;
   }
   // CorpusSize() would force the deferred decode and defeat the O(1)
-  // mmap startup, so the banner only reports it when the core is already
-  // in memory (legacy snapshots parsed eagerly).
-  if ((*service)->CoreLoaded()) {
-    std::fprintf(stderr, "serving %s (%zu articles, generation %llu); one "
-                 "request per line, 'help' for the protocol, 'reload' to "
-                 "hot-swap the snapshot, 'quit' or EOF to stop\n",
-                 args.snapshot_path.c_str(), (*service)->CorpusSize(),
-                 static_cast<unsigned long long>((*service)->Generation()));
-  } else {
-    std::fprintf(stderr, "serving %s (mmapped, decode deferred to first "
-                 "request, generation %llu); one request per line, 'help' "
-                 "for the protocol, 'reload' to hot-swap the snapshot, "
-                 "'quit' or EOF to stop\n",
-                 args.snapshot_path.c_str(),
-                 static_cast<unsigned long long>((*service)->Generation()));
-  }
+  // startup, so the banner does not report it.
+  std::fprintf(stderr, "serving %s (decode deferred to first request, "
+               "generation %llu); one request per line, 'help' for the "
+               "protocol, 'reload' to hot-swap the snapshot, 'quit' or EOF "
+               "to stop\n",
+               args.snapshot_path.c_str(),
+               static_cast<unsigned long long>((*service)->Generation()));
   // SIGINT/SIGTERM route through one flag for both transports: the TCP
   // server drains on it, the stdin loop polls it (and, with SA_RESTART
   // off, its blocking read returns early instead of eating the signal).

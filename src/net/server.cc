@@ -14,7 +14,7 @@
 #include <unistd.h>
 
 #include "util/logging.h"
-#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace net {

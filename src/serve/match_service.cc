@@ -85,67 +85,30 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 util::Result<std::unique_ptr<MatchService>> MatchService::Load(
     const std::string& path, const ServiceOptions& options) {
+  auto mapped = store::MappedSnapshot::Map(path);
+  if (!mapped.ok()) return mapped.status();
+  // Defer decoding: only the meta section (a few hundred bytes) is read
+  // now, so Load() costs the same for any snapshot size.
+  auto boot = std::make_shared<GenerationState>();
+  const store::MappedSnapshot& snap = *mapped.ValueOrDie();
+  for (size_t i = 0; i < snap.num_sections(); ++i) {
+    if (snap.section_kind(i) != store::SectionKind::kMeta) continue;
+    auto payload = snap.Payload(i);
+    if (!payload.ok()) return payload.status();
+    WIKIMATCH_RETURN_NOT_OK(store::DecodeSnapshotSection(
+        store::SectionKind::kMeta, payload.ValueOrDie(), &boot->snapshot));
+  }
+  boot->mapped = std::move(mapped).ValueOrDie();
+  boot->load_seq = 1;
+  boot->loaded_unix = static_cast<int64_t>(std::time(nullptr));
+  boot->loaded_at = Clock::now();
   auto service =
       std::unique_ptr<MatchService>(new MatchService(options));
-  bool lazy = false;
-  auto mapped = store::MappedSnapshot::Map(path);
-  if (mapped.ok()) {
-    // New-format snapshot: defer decoding. Only the meta section (a few
-    // hundred bytes) is read now, so Load() is O(1) in the snapshot size.
-    // A directory missing the mandatory sections would fail at first use,
-    // so route that file to the parse path, which owns the error message.
-    const std::shared_ptr<store::MappedSnapshot>& snap = mapped.ValueOrDie();
-    bool have_corpus = false;
-    bool have_dictionary = false;
-    for (size_t i = 0; i < snap->num_sections(); ++i) {
-      if (snap->section_kind(i) == store::SectionKind::kCorpus) {
-        have_corpus = true;
-      }
-      if (snap->section_kind(i) == store::SectionKind::kDictionary) {
-        have_dictionary = true;
-      }
-    }
-    store::Snapshot meta_only;
-    util::Status meta_status = util::Status::OK();
-    if (have_corpus && have_dictionary) {
-      auto meta_payload = snap->PayloadOfKind(store::SectionKind::kMeta);
-      if (meta_payload.ok()) {
-        meta_status = store::DecodeSnapshotSection(
-            store::SectionKind::kMeta, meta_payload.ValueOrDie(), &meta_only);
-      } else if (meta_payload.status().code() !=
-                 util::StatusCode::kNotFound) {
-        meta_status = meta_payload.status();  // corrupt meta: parse decides
-      }  // no meta section (generation 0): serve the default meta
-    }
-    if (have_corpus && have_dictionary && meta_status.ok()) {
-      auto boot = std::make_shared<GenerationState>();
-      boot->snapshot = std::move(meta_only);
-      boot->mapped = std::move(mapped).ValueOrDie();
-      boot->load_seq = 1;
-      boot->loaded_unix = static_cast<int64_t>(std::time(nullptr));
-      boot->loaded_at = Clock::now();
-      {
-        util::MutexLock lock(service->gen_mu_);
-        service->boot_gen_ = std::move(boot);
-      }
-      service->loads_.store(1, std::memory_order_relaxed);
-      lazy = true;
-    }
+  {
+    util::MutexLock lock(service->gen_mu_);
+    service->boot_gen_ = std::move(boot);
   }
-  if (!lazy) {
-    // Legacy layout (Map → NotFound) or anything else Map could not
-    // establish: the streaming parse path reads both layouts and produces
-    // the descriptive error for genuinely broken files.
-    auto snapshot = store::ReadSnapshotFile(path);
-    if (!snapshot.ok()) return snapshot.status();
-    auto gen =
-        BuildGeneration(std::move(snapshot).ValueOrDie(), 1, nullptr);
-    {
-      util::MutexLock lock(service->gen_mu_);
-      service->gen_ = std::move(gen);
-    }
-    service->loads_.store(1, std::memory_order_relaxed);
-  }
+  service->loads_.store(1, std::memory_order_relaxed);
   {
     // Not yet visible to other threads, but taking the lock keeps the
     // guarded-field proof unconditional (and it is uncontended here).
@@ -279,22 +242,13 @@ util::Status MatchService::Reload(const std::string& path) {
   }
   // Deliberately eager, unlike Load(): decode *before* swapping so that on
   // any error the previous generation keeps serving untouched.
-  store::Snapshot snapshot;
-  std::shared_ptr<store::MappedSnapshot> mapped;
-  auto mapped_result = store::MappedSnapshot::Map(source);
-  if (mapped_result.ok()) {
-    auto decoded = mapped_result.ValueOrDie()->Decode();
-    if (!decoded.ok()) return decoded.status();
-    snapshot = std::move(decoded).ValueOrDie();
-    mapped = std::move(mapped_result).ValueOrDie();
-  } else {
-    auto parsed = store::ReadSnapshotFile(source);
-    if (!parsed.ok()) return parsed.status();
-    snapshot = std::move(parsed).ValueOrDie();
-  }
-  auto gen = BuildGeneration(std::move(snapshot),
+  auto mapped = store::MappedSnapshot::Map(source);
+  if (!mapped.ok()) return mapped.status();
+  auto snapshot = mapped.ValueOrDie()->Decode();
+  if (!snapshot.ok()) return snapshot.status();
+  auto gen = BuildGeneration(std::move(snapshot).ValueOrDie(),
                              loads_.load(std::memory_order_relaxed) + 1,
-                             std::move(mapped));
+                             std::move(mapped).ValueOrDie());
   {
     util::MutexLock lock(gen_mu_);
     gen_ = std::move(gen);

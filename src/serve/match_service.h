@@ -15,19 +15,20 @@
 // cache: stale entries simply stop being addressable and age out of the
 // LRU.
 //
-// O(1) startup: Load() mmaps the snapshot (store/snapshot_reader.h) and
-// defers decoding — only the tiny meta section is read eagerly, so the
-// service constructs in constant time regardless of snapshot size and the
-// meta verbs (help, health, version, generation) answer immediately. The
-// first request that needs real data materializes the core (decode + index
-// build) once, under its own mutex; a decode failure is sticky and every
+// O(1) startup: Load() maps the snapshot (store/snapshot_reader.h), which
+// walks only the section headers, and defers decoding — only the tiny meta
+// section is read eagerly, so the service constructs in constant time
+// regardless of snapshot size and the meta verbs (help, health, version,
+// generation) answer immediately. Every snapshot layout boots this way.
+// The first request that needs real data materializes the core (decode +
+// index build) once, under its own mutex; a decode failure (a corrupt
+// payload, whose CRC is first checked here) is sticky and every
 // core-needing request reports it until a successful reload. Reload() is
 // deliberately *eager* — it decodes before swapping, preserving the "on
-// error the old generation keeps serving" contract. Snapshots without the
-// mmap directory (older writers) fall back to the original eager parse
-// path byte-identically. Each generation pins its MappedSnapshot, so
-// replacing or unlinking the snapshot file never invalidates a mapping
-// still being served from.
+// error the old generation keeps serving" contract. Each generation pins
+// its MappedSnapshot, and writers publish by rename, so replacing or
+// unlinking the snapshot file never invalidates a mapping still being
+// served from.
 //
 // Thread safety: a generation is read-only after construction (MatchSets
 // are fully path-compressed at build so even their lazy union-find
@@ -100,9 +101,9 @@ struct ServedQueryResult {
 /// \brief Thread-safe snapshot-backed match server with hot reload.
 class MatchService {
  public:
-  /// \brief Opens the snapshot at `path` for serving. New-format
-  /// snapshots are mmapped and decoded lazily (O(1) regardless of size);
-  /// older formats are parsed eagerly as before. The path is remembered
+  /// \brief Opens the snapshot at `path` for serving: maps it, checks its
+  /// structure and reads its meta section; the rest is decoded on the
+  /// first data request (O(1) regardless of size). The path is remembered
   /// as the default `Reload()` source.
   static util::Result<std::unique_ptr<MatchService>> Load(
       const std::string& path, const ServiceOptions& options = {});
@@ -150,15 +151,15 @@ class MatchService {
   /// \brief Language pairs available in the current generation.
   std::vector<store::LanguagePair> Pairs() const;
 
-  /// \brief Articles in the current generation's corpus (0 while an
-  /// mmap-loaded core is still deferred — see CoreLoaded()).
+  /// \brief Articles in the current generation's corpus (0 while a
+  /// loaded core is still deferred — see CoreLoaded()).
   size_t CorpusSize() const;
 
   /// \brief Snapshot meta generation currently being served.
   uint64_t Generation() const;
 
   /// \brief True once the decoded core (corpus, pairs, indexes) exists.
-  /// False between an mmap Load() and the first core-needing request.
+  /// False between Load() and the first core-needing request.
   bool CoreLoaded() const;
 
  private:
@@ -175,9 +176,9 @@ class MatchService {
   struct GenerationState {
     store::Snapshot snapshot;
     std::map<store::LanguagePair, PairServing> pairs;
-    /// Pins the mmap this generation was decoded from (null for parsed or
-    /// in-memory snapshots): the pages stay valid even if the snapshot
-    /// file is replaced or unlinked, until the generation drains.
+    /// Pins the mmap this generation was decoded from (null for in-memory
+    /// snapshots): the pages stay valid even if the snapshot file is
+    /// replaced or unlinked, until the generation drains.
     std::shared_ptr<store::MappedSnapshot> mapped;
     uint64_t load_seq = 0;    ///< 1 for the initial load, +1 per reload
     int64_t loaded_unix = 0;  ///< wall clock at install
@@ -203,8 +204,8 @@ class MatchService {
   /// the meta-only boot generation (shared_ptr copy under a short lock).
   std::shared_ptr<const GenerationState> Current() const;
 
-  /// The decoded core, materializing it on first call in lazy (mmap)
-  /// mode. A decode failure is sticky until a successful Reload().
+  /// The decoded core, materializing it on first call after Load(). A
+  /// decode failure is sticky until a successful Reload().
   util::Result<std::shared_ptr<const GenerationState>> Core() const;
 
   /// Uncached dispatch against one pinned generation.
@@ -222,8 +223,8 @@ class MatchService {
   mutable util::Mutex gen_mu_;
   mutable std::shared_ptr<const GenerationState> gen_
       WIKIMATCH_GUARDED_BY(gen_mu_);
-  /// Meta-only generation from an mmap Load(): snapshot.meta plus the
-  /// pinned mapping, no decoded content. Null in eager modes.
+  /// Meta-only generation from Load(): snapshot.meta plus the pinned
+  /// mapping, no decoded content. Null for Create().
   std::shared_ptr<const GenerationState> boot_gen_
       WIKIMATCH_GUARDED_BY(gen_mu_);
 

@@ -5,8 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
-
 #include "store/crc32.h"
 #include "util/binary_io.h"
 
@@ -14,19 +12,8 @@ namespace wikimatch {
 namespace store {
 namespace {
 
-constexpr size_t kHeaderSize = 16;
-constexpr size_t kSectionHeaderSize = 16;
-constexpr size_t kDirectoryEntrySize = 32;
-
-// Every reason Map() cannot establish the directory funnels into NotFound:
-// the caller's contract is "NotFound → use the streaming parse path",
-// which both reads legacy layouts and owns the descriptive errors for
-// genuinely broken files.
-util::Status NoFooter(const std::string& path, const std::string& why) {
-  return util::Status::NotFound("snapshot " + path +
-                                " has no mapped-directory footer (" + why +
-                                "); use the streaming reader");
-}
+constexpr size_t kHeaderSize = 16;         // magic, version, count, reserved
+constexpr size_t kSectionHeaderSize = 16;  // kind u32, size u64, crc u32
 
 }  // namespace
 
@@ -41,10 +28,16 @@ util::Result<std::shared_ptr<MappedSnapshot>> MappedSnapshot::Map(
     ::close(fd);
     return util::Status::IoError("cannot stat snapshot " + path);
   }
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (size < kHeaderSize + kSnapshotFooterSize) {
+  if (!S_ISREG(st.st_mode)) {
     ::close(fd);
-    return NoFooter(path, "file too small");
+    return util::Status::IoError("cannot read snapshot " + path +
+                                 ": not a regular file");
+  }
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  if (size < kHeaderSize) {
+    ::close(fd);
+    return util::Status::OutOfRange("truncated snapshot " + path +
+                                    ": missing header");
   }
   void* mapping = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping keeps the pages; the fd is not needed
@@ -58,8 +51,6 @@ util::Result<std::shared_ptr<MappedSnapshot>> MappedSnapshot::Map(
 
   const std::string_view bytes(reinterpret_cast<const char*>(snap->base_),
                                size);
-
-  // Fixed header: magic and version must hold for either reader.
   util::BinaryReader hr(bytes.substr(0, kHeaderSize));
   uint32_t magic = hr.ReadU32().ValueOrDie();
   uint32_t version = hr.ReadU32().ValueOrDie();
@@ -81,61 +72,42 @@ util::Result<std::shared_ptr<MappedSnapshot>> MappedSnapshot::Map(
                                     "build-snapshot did not finish)");
   }
 
-  // Footer: last 16 bytes. Anything off → legacy / pre-directory file.
-  util::BinaryReader fr(bytes.substr(size - kSnapshotFooterSize));
-  uint64_t dir_offset = fr.ReadU64().ValueOrDie();
-  uint32_t offset_crc = fr.ReadU32().ValueOrDie();
-  uint32_t footer_magic = fr.ReadU32().ValueOrDie();
-  if (footer_magic != kSnapshotFooterMagic) {
-    return NoFooter(path, "footer magic missing");
-  }
-  if (Crc32(bytes.substr(size - kSnapshotFooterSize, 8)) != offset_crc) {
-    return NoFooter(path, "footer checksum mismatch");
-  }
-  if (dir_offset < kHeaderSize ||
-      dir_offset + kSectionHeaderSize > size - kSnapshotFooterSize) {
-    return NoFooter(path, "directory offset out of range");
-  }
-
-  // Directory section header + payload. The directory is tiny, so its CRC
-  // is the one checksum Map() verifies eagerly — every entry the lazy
-  // content validation later trusts must itself be trustworthy.
-  util::BinaryReader dr(bytes.substr(dir_offset, kSectionHeaderSize));
-  uint32_t dir_kind = dr.ReadU32().ValueOrDie();
-  uint64_t dir_size = dr.ReadU64().ValueOrDie();
-  uint32_t dir_crc = dr.ReadU32().ValueOrDie();
-  if (dir_kind != static_cast<uint32_t>(SectionKind::kDirectory)) {
-    return NoFooter(path, "footer does not point at a directory section");
-  }
-  const uint64_t dir_payload = dir_offset + kSectionHeaderSize;
-  if (dir_size > size - kSnapshotFooterSize - dir_payload) {
-    return NoFooter(path, "directory section truncated");
-  }
-  std::string_view dir_bytes = bytes.substr(dir_payload, dir_size);
-  if (Crc32(dir_bytes) != dir_crc) {
-    return NoFooter(path, "directory checksum mismatch");
-  }
-  util::BinaryReader er(dir_bytes);
-  auto entry_count = er.ReadU64();
-  if (!entry_count.ok() ||
-      entry_count.ValueOrDie() * kDirectoryEntrySize + 8 != dir_size) {
-    return NoFooter(path, "directory entry count inconsistent");
-  }
-  snap->entries_.reserve(entry_count.ValueOrDie());
-  for (uint64_t i = 0; i < entry_count.ValueOrDie(); ++i) {
+  // Walk the counted section headers in place. Bytes after the last one
+  // (the footer of directory-writing builds) are never looked at.
+  bool have_corpus = false;
+  bool have_dictionary = false;
+  uint64_t at = kHeaderSize;
+  for (uint32_t s = 0; s < section_count; ++s) {
+    const uint64_t bytes_left = size - at;
+    if (bytes_left < kSectionHeaderSize) {
+      return util::Status::OutOfRange(
+          "truncated snapshot " + path + ": section " + std::to_string(s) +
+          " header missing");
+    }
+    util::BinaryReader sr(bytes.substr(at, kSectionHeaderSize));
     Entry e;
-    e.kind = er.ReadU32().ValueOrDie();
-    er.ReadU32().ValueOrDie();  // reserved
-    uint64_t header_offset = er.ReadU64().ValueOrDie();
-    e.payload_size = er.ReadU64().ValueOrDie();
-    e.crc = er.ReadU32().ValueOrDie();
-    er.ReadU32().ValueOrDie();  // reserved
-    e.payload_offset = header_offset + kSectionHeaderSize;
-    if (header_offset < kHeaderSize || e.payload_offset > size ||
-        e.payload_size > size - e.payload_offset) {
-      return NoFooter(path, "directory entry out of range");
+    e.kind = sr.ReadU32().ValueOrDie();
+    e.payload_size = sr.ReadU64().ValueOrDie();
+    e.crc = sr.ReadU32().ValueOrDie();
+    e.payload_offset = at + kSectionHeaderSize;
+    if (e.payload_size > bytes_left - kSectionHeaderSize) {
+      return util::Status::OutOfRange(
+          "truncated snapshot " + path + ": section " + std::to_string(s) +
+          " claims " + std::to_string(e.payload_size) + " bytes but only " +
+          std::to_string(bytes_left - kSectionHeaderSize) + " remain");
+    }
+    if (e.kind == static_cast<uint32_t>(SectionKind::kCorpus)) {
+      have_corpus = true;
+    }
+    if (e.kind == static_cast<uint32_t>(SectionKind::kDictionary)) {
+      have_dictionary = true;
     }
     snap->entries_.push_back(e);
+    at = e.payload_offset + e.payload_size;
+  }
+  if (!have_corpus || !have_dictionary) {
+    return util::Status::ParseError("snapshot " + path +
+                                    " lacks a corpus or dictionary section");
   }
   snap->crc_state_ =
       std::make_unique<std::atomic<uint8_t>[]>(snap->entries_.size());
@@ -176,35 +148,21 @@ util::Result<std::string_view> MappedSnapshot::Payload(size_t idx) const {
   return payload;
 }
 
-util::Result<std::string_view> MappedSnapshot::PayloadOfKind(
-    SectionKind kind) const {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].kind == static_cast<uint32_t>(kind)) return Payload(i);
-  }
-  return util::Status::NotFound("snapshot " + path_ + " has no section of "
-                                "kind " +
-                                std::to_string(static_cast<uint32_t>(kind)));
-}
-
 util::Result<Snapshot> MappedSnapshot::Decode() const {
   Snapshot snapshot;
-  bool have_corpus = false;
-  bool have_dictionary = false;
   for (size_t i = 0; i < entries_.size(); ++i) {
     auto payload = Payload(i);
     if (!payload.ok()) return payload.status();
-    SectionKind kind = section_kind(i);
-    util::Status st =
-        DecodeSnapshotSection(kind, payload.ValueOrDie(), &snapshot);
-    if (!st.ok()) return st;
-    if (kind == SectionKind::kCorpus) have_corpus = true;
-    if (kind == SectionKind::kDictionary) have_dictionary = true;
-  }
-  if (!have_corpus || !have_dictionary) {
-    return util::Status::ParseError("snapshot " + path_ +
-                                    " lacks a corpus or dictionary section");
+    WIKIMATCH_RETURN_NOT_OK(DecodeSnapshotSection(
+        section_kind(i), payload.ValueOrDie(), &snapshot));
   }
   return snapshot;
+}
+
+util::Result<Snapshot> ReadSnapshotFile(const std::string& path) {
+  auto mapped = MappedSnapshot::Map(path);
+  if (!mapped.ok()) return mapped.status();
+  return mapped.ValueOrDie()->Decode();
 }
 
 }  // namespace store

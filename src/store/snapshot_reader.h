@@ -1,25 +1,29 @@
-// Memory-mapped snapshot access for O(1) serve startup.
+// The snapshot reader: the one path every snapshot is read through.
 //
-// MappedSnapshot::Map mmaps a snapshot file and validates only the fixed
-// header and the trailing footer + section directory (a few hundred bytes
-// regardless of snapshot size) — it never reads the content sections, so
-// mapping a multi-gigabyte snapshot costs the same as mapping a tiny one.
-// Content-section CRCs are validated *lazily*: the first Payload() touch of
-// a section checks its CRC-32 and caches the verdict (sticky both ways), so
-// corruption is still always detected before any decoded byte is trusted,
-// just not before the process starts answering health checks.
+// MappedSnapshot::Map mmaps a snapshot file, checks the 16-byte header and
+// walks the section_count section headers in place. Each header already
+// holds the section's kind, payload size and CRC-32, so the walk
+// bounds-checks every section against the file size and confirms that a
+// corpus and a dictionary section exist without reading any payload:
+// mapping a large snapshot touches one page per section header, not the
+// content. Content-section CRCs are validated *lazily*: the first
+// Payload() touch of a section checks its CRC-32 and caches the verdict
+// (sticky both ways), so corruption is still always detected before any
+// decoded byte is trusted, just not before the process starts answering
+// health checks. ReadSnapshotFile (store/snapshot.h) is Map + Decode.
 //
-// Files without a valid footer — written by pre-directory builds or with
-// SnapshotWriter's legacy_layout — make Map() return NotFound, the caller's
-// cue to fall back to the streaming parse path (ReadSnapshotFile), which
-// reads both layouts identically. Truncated or corrupt *new* files also
-// fail toward that fallback: the parse path owns the descriptive errors.
+// Layout compatibility: sections of unknown kind are bounds-checked,
+// CRC-checked by Decode and otherwise skipped, and bytes after the last
+// counted section are ignored. That is how files from directory-writing
+// builds (pad kind 7, directory kind 6, a trailing 16-byte footer) read
+// the same as the pre-directory layout current writers emit.
 //
 // Lifetime: the mapping holds the pages, not the directory entry — a
-// snapshot file may be replaced or unlinked while mapped and every
-// outstanding string_view stays valid until the MappedSnapshot is
-// destroyed. The serving layer pins one shared_ptr<MappedSnapshot> per
-// generation for exactly this reason (docs/SERVING.md).
+// snapshot file may be replaced (SnapshotWriter publishes by rename) or
+// unlinked while mapped and every outstanding string_view stays valid
+// until the MappedSnapshot is destroyed. The serving layer pins one
+// shared_ptr<MappedSnapshot> per generation for exactly this reason
+// (docs/SERVING.md).
 
 #ifndef WIKIMATCH_STORE_SNAPSHOT_READER_H_
 #define WIKIMATCH_STORE_SNAPSHOT_READER_H_
@@ -40,10 +44,11 @@ namespace store {
 /// \brief A snapshot file mapped read-only into the address space.
 class MappedSnapshot {
  public:
-  /// \brief Maps `path` and validates header, footer, and directory.
-  /// NotFound: no usable directory footer (legacy layout / older writer /
-  /// truncation) — fall back to ReadSnapshotFile. IoError: the file cannot
-  /// be opened or mapped at all.
+  /// \brief Maps `path` and validates the header and every section
+  /// header. Errors: IoError (cannot open or map, or not a regular file),
+  /// ParseError (bad magic, zero sections, no corpus or dictionary
+  /// section), OutOfRange (truncated header or section), InvalidArgument
+  /// (unsupported version).
   static util::Result<std::shared_ptr<MappedSnapshot>> Map(
       const std::string& path);
 
@@ -52,8 +57,7 @@ class MappedSnapshot {
   MappedSnapshot(const MappedSnapshot&) = delete;
   MappedSnapshot& operator=(const MappedSnapshot&) = delete;
 
-  /// \brief Content sections listed in the directory (pad and the
-  /// directory itself are not included).
+  /// \brief Counted sections, in file order (unknown kinds included).
   size_t num_sections() const { return entries_.size(); }
 
   SectionKind section_kind(size_t idx) const {
@@ -66,13 +70,9 @@ class MappedSnapshot {
   /// Thread-safe; concurrent first touches may both compute the CRC.
   util::Result<std::string_view> Payload(size_t idx) const;
 
-  /// \brief Payload of the first section of `kind`; NotFound when the
-  /// snapshot has no such section.
-  util::Result<std::string_view> PayloadOfKind(SectionKind kind) const;
-
-  /// \brief Decodes every content section into an in-memory Snapshot —
-  /// the mmap-backed equivalent of ReadSnapshotFile, validating each
-  /// section's CRC as it is touched.
+  /// \brief Decodes every section into an in-memory Snapshot, validating
+  /// each section's CRC as it is touched (sections of unknown kind are
+  /// checked and skipped).
   util::Result<Snapshot> Decode() const;
 
   const std::string& path() const { return path_; }

@@ -121,7 +121,11 @@ double AgreementScore(const Evidence& a, const Evidence& b) {
   }
   auto tokens = [](const Evidence& e) {
     std::set<std::string> out(e.refs);
-    for (int64_t n : e.numbers) out.insert("#" + std::to_string(n));
+    for (int64_t n : e.numbers) {
+      std::string token = "#";
+      token += std::to_string(n);
+      out.insert(std::move(token));
+    }
     return out;
   };
   std::set<std::string> ta = tokens(a);

@@ -265,7 +265,8 @@ std::string RenderValue(const Fact& fact, const std::string& lang,
       std::string text = word_gen.MakePhrase(rng, 2 + rng->NextBounded(3));
       if (fact.number > 0) {
         trace_number(fact.number);
-        text += " " + std::to_string(fact.number);
+        text += ' ';
+        text += std::to_string(fact.number);
       }
       return text;
     }

@@ -13,7 +13,7 @@ namespace {
 std::atomic<int> g_min_level{static_cast<int>(LogLevel::kWarning)};
 
 // Serializes stderr emission: log statements run concurrently inside
-// ParallelFor workers (e.g. the pipeline's per-type alignment), and
+// thread-pool workers (e.g. the pipeline's per-type alignment), and
 // unsynchronized fputs calls interleave or tear lines. Each statement is
 // formatted into its own buffer first, so the lock is held only for the
 // single write.

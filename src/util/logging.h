@@ -7,7 +7,7 @@
 //
 // Thread-safe: each statement is formatted into its own buffer and emitted
 // to stderr as one write under a process-wide mutex, so statements from
-// concurrent workers (util::ParallelFor) never interleave or tear.
+// concurrent workers (util::thread_pool_for) never interleave or tear.
 
 #ifndef WIKIMATCH_UTIL_LOGGING_H_
 #define WIKIMATCH_UTIL_LOGGING_H_

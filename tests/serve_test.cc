@@ -18,6 +18,7 @@
 #include "serve/lru_cache.h"
 #include "serve/match_service.h"
 #include "serve/protocol.h"
+#include "snapshot_oracle.h"
 #include "store/snapshot.h"
 #include "synth/generator.h"
 
@@ -120,7 +121,8 @@ TEST(LruCacheTest, ConcurrentMixedLoad) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&cache, t]() {
       for (int i = 0; i < 500; ++i) {
-        std::string key = "k" + std::to_string((i * 7 + t) % 64);
+        std::string key = "k";
+        key += std::to_string((i * 7 + t) % 64);
         std::string value;
         if (!cache.Get(key, &value)) cache.Put(key, key + "!");
       }
@@ -254,18 +256,16 @@ void CopyFile(const std::string& from, const std::string& to) {
   out << in.rdbuf();
 }
 
-// Writes the fixture snapshot in the pre-directory layout (no footer),
-// exactly as an older build would have produced it.
-std::string WriteLegacySnapshot(const std::string& name) {
-  const Fixture& f = GetFixture();
-  store::Snapshot snapshot;
-  snapshot.corpus = f.gc.corpus;
-  snapshot.dictionary = f.dictionary;
-  snapshot.pipelines.emplace(store::LanguagePair("pt", "en"), f.result);
+// Writes the fixture snapshot in the layout directory-writing builds
+// produced (pad and directory sections plus a footer); the fixture file
+// itself is in the pre-directory layout current writers emit.
+std::string WriteDirectoryLayoutSnapshot(const std::string& name) {
+  std::ifstream in(GetFixture().snapshot_path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
   std::string path = PerPidTempPath(name);
-  auto status =
-      store::WriteSnapshotFile(snapshot, path, /*legacy_layout=*/true);
-  EXPECT_TRUE(status.ok()) << status.ToString();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << store::testing::WithDirectoryLayout(bytes);
   return path;
 }
 
@@ -288,13 +288,14 @@ TEST(ServeTest, MmapLoadDefersTheCoreUntilFirstDataRequest) {
 }
 
 TEST(ServeTest, MmapAndLegacyParsedServicesAnswerIdentically) {
-  std::string legacy = WriteLegacySnapshot("legacy_compare.snap");
+  std::string legacy = WriteDirectoryLayoutSnapshot("legacy_compare.snap");
   auto lazy_service = MatchService::Load(GetFixture().snapshot_path);
   auto parsed_service = MatchService::Load(legacy);
   ASSERT_TRUE(lazy_service.ok()) << lazy_service.status().ToString();
   ASSERT_TRUE(parsed_service.ok()) << parsed_service.status().ToString();
+  // Both layouts boot meta-only.
   EXPECT_FALSE((*lazy_service)->CoreLoaded());
-  EXPECT_TRUE((*parsed_service)->CoreLoaded());  // legacy parses eagerly
+  EXPECT_FALSE((*parsed_service)->CoreLoaded());
   const std::vector<std::string> requests = {
       "pairs",
       "types pt:en",
@@ -354,6 +355,35 @@ TEST(ServeTest, LazyDecodeFailureIsStickyUntilReloadReplacesIt) {
   EXPECT_EQ(reloaded.compare(0, 3, "ok "), 0) << reloaded;
   EXPECT_TRUE((*service)->CoreLoaded());
   EXPECT_EQ((*service)->Handle("pairs").compare(0, 3, "ok "), 0);
+  std::remove(path.c_str());
+}
+
+TEST(ServeTest, RepublishingTheServedPathKeepsTheOldContentServing) {
+  // `sync` and `apply-delta --out X` publish over the file being served.
+  // The writer renames a finished file over X, so the mapping of the old
+  // file (core not decoded yet) keeps its bytes instead of being truncated
+  // under the server (SIGBUS).
+  std::string path = PerPidTempPath("republish_serve.snap");
+  CopyFile(GetFixture().snapshot_path, path);
+  auto service = MatchService::Load(path);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_FALSE((*service)->CoreLoaded());
+  const Fixture& f = GetFixture();
+  store::Snapshot other;
+  other.corpus = f.gc.corpus;
+  other.dictionary = f.dictionary;
+  other.meta.generation = 7;  // no pipelines: "types pt:en" has no answer
+  ASSERT_TRUE(store::WriteSnapshotFile(other, path).ok());
+  std::string types = (*service)->Handle("types pt:en");
+  EXPECT_EQ(types.compare(0, 3, "ok "), 0) << types;
+  EXPECT_NE((*service)->Handle("generation").find("generation=0"),
+            std::string::npos);
+  // A reload serves the new content.
+  std::string reloaded = (*service)->Handle("reload");
+  EXPECT_EQ(reloaded.compare(0, 3, "ok "), 0) << reloaded;
+  EXPECT_EQ((*service)->Generation(), 7u);
+  std::string after = (*service)->Handle("types pt:en");
+  EXPECT_EQ(after.compare(0, 3, "err"), 0) << after;
   std::remove(path.c_str());
 }
 

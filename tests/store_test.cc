@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "match/pipeline.h"
 #include "match/serialize.h"
@@ -305,19 +309,65 @@ TEST(StoreTest, TruncatedFileIsRejected) {
 }
 
 TEST(StoreTest, UnfinishedSnapshotIsRejected) {
-  // A writer that never called Finish() leaves section_count = 0.
+  // A file whose header still has section_count = 0 (an older writer
+  // that crashed before Finish()) must read as incomplete.
   std::string path = TempPath("unfinished.snap");
-  {
-    auto writer = SnapshotWriter::Open(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->WriteCorpus(GetFixture().gc.corpus).ok());
-    // No Finish().
-  }
+  ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
+  std::string bytes = ReadFileBytes(path);
+  std::memset(bytes.data() + 8, 0, 4);
+  WriteFileBytes(path, bytes);
   auto loaded = ReadSnapshotFile(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("incomplete"),
             std::string::npos);
   std::remove(path.c_str());
+}
+
+// Names in `dir` that start with `prefix`.
+std::vector<std::string> FilesStartingWith(const std::string& dir,
+                                           const std::string& prefix) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(StoreTest, AbandonedWriterLeavesTargetUntouched) {
+  // Writes go to a temporary file that only Finish() renames over the
+  // target: a writer dropped mid-build leaves the old file byte-identical
+  // and removes its temporary file.
+  const std::string name =
+      "abandoned." + std::to_string(::getpid()) + ".snap";
+  const std::string path = TempPath(name);
+  ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
+  const std::string before = ReadFileBytes(path);
+  {
+    auto writer = SnapshotWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer->WriteCorpus(GetFixture().gc.corpus).ok());
+    EXPECT_EQ(FilesStartingWith(::testing::TempDir(), name).size(), 2u);
+    // No Finish().
+  }
+  EXPECT_EQ(ReadFileBytes(path), before);
+  EXPECT_EQ(FilesStartingWith(::testing::TempDir(), name),
+            std::vector<std::string>{name});
+  ASSERT_TRUE(ReadSnapshotFile(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(StoreTest, DirectoryIsIoError) {
+  const std::string dir =
+      TempPath("snapshot_dir." + std::to_string(::getpid()));
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  auto loaded = ReadSnapshotFile(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("not a regular file"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::filesystem::remove(dir);
 }
 
 TEST(StoreTest, SectionSizeBeyondFileIsRejected) {
@@ -399,9 +449,8 @@ TEST(StoreTest, Generation0SnapshotOmitsMetaSection) {
   std::string bytes = ReadFileBytes(path);
   uint32_t section_count;
   std::memcpy(&section_count, bytes.data() + 8, 4);
-  // corpus, dictionary, one pipeline (no meta) + the pad and directory
-  // sections every non-legacy writer appends.
-  EXPECT_EQ(section_count, 5u);
+  // corpus, dictionary, one pipeline — no meta.
+  EXPECT_EQ(section_count, 3u);
   auto loaded = ReadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->meta.generation, 0u);
@@ -417,8 +466,8 @@ TEST(StoreTest, SyncReportSectionRoundTripAndOmittedWhenEmpty) {
   std::string bytes = ReadFileBytes(path);
   uint32_t section_count;
   std::memcpy(&section_count, bytes.data() + 8, 4);
-  // corpus, dictionary, one pipeline + pad + directory — no kind-5 section.
-  EXPECT_EQ(section_count, 5u);
+  // corpus, dictionary, one pipeline — no kind-5 section.
+  EXPECT_EQ(section_count, 3u);
   std::remove(path.c_str());
 
   Snapshot snapshot = MakeSnapshot();
@@ -445,67 +494,13 @@ TEST(StoreTest, SyncReportSectionRoundTripAndOmittedWhenEmpty) {
 
 // ------------------------------------------------------------- mmap reader
 
-TEST(MappedSnapshotTest, DecodeMatchesStreamingReaderByteIdentically) {
-  Snapshot snapshot = MakeSnapshot();
-  snapshot.meta.generation = 2;
-  snapshot.meta.history.push_back({2, 1, 0, 0, 1, 1});
-  snapshot.meta.options = OptionsFingerprint::From(match::PipelineOptions{});
-  std::string path = TempPath("mmap_roundtrip.snap");
-  ASSERT_TRUE(WriteSnapshotFile(snapshot, path).ok());
-
-  auto mapped = MappedSnapshot::Map(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  auto via_mmap = (*mapped)->Decode();
-  ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
-  auto via_parse = ReadSnapshotFile(path);
-  ASSERT_TRUE(via_parse.ok()) << via_parse.status().ToString();
-
-  // Strongest equivalence we can assert without an operator== over the
-  // whole snapshot: both decodes re-serialize to identical bytes.
-  std::string mmap_out = TempPath("mmap_roundtrip_a.snap");
-  std::string parse_out = TempPath("mmap_roundtrip_b.snap");
-  ASSERT_TRUE(WriteSnapshotFile(*via_mmap, mmap_out).ok());
-  ASSERT_TRUE(WriteSnapshotFile(*via_parse, parse_out).ok());
-  EXPECT_EQ(ReadFileBytes(mmap_out), ReadFileBytes(parse_out));
-  EXPECT_EQ(via_mmap->corpus.size(), snapshot.corpus.size());
-  EXPECT_EQ(via_mmap->meta.generation, 2u);
-  ASSERT_TRUE(via_mmap->meta.options.has_value());
-  EXPECT_TRUE(*via_mmap->meta.options ==
-              OptionsFingerprint::From(match::PipelineOptions{}));
-  std::remove(path.c_str());
-  std::remove(mmap_out.c_str());
-  std::remove(parse_out.c_str());
-}
-
-TEST(MappedSnapshotTest, TruncatedFileFallsBackToStreamingError) {
-  std::string path = TempPath("mmap_truncated.snap");
-  ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
-  std::string bytes = ReadFileBytes(path);
-  // Any truncation destroys the trailing footer, so Map() must answer
-  // NotFound (the "use the streaming reader" signal), and the streaming
-  // reader then reports the real damage.
-  for (size_t keep : {size_t{20}, bytes.size() / 2, bytes.size() - 1}) {
-    WriteFileBytes(path, bytes.substr(0, keep));
-    auto mapped = MappedSnapshot::Map(path);
-    ASSERT_FALSE(mapped.ok()) << "kept " << keep << " bytes";
-    EXPECT_EQ(mapped.status().code(), util::StatusCode::kNotFound)
-        << mapped.status().ToString();
-    // Deep cuts damage counted sections, so the streaming reader reports
-    // them; a cut inside the trailing footer leaves every counted section
-    // whole and degrades gracefully to a successful parse.
-    EXPECT_EQ(ReadSnapshotFile(path).ok(), keep == bytes.size() - 1)
-        << "kept " << keep << " bytes";
-  }
-  std::remove(path.c_str());
-}
-
 TEST(MappedSnapshotTest, CorruptSectionDetectedOnFirstLazyTouch) {
   std::string path = TempPath("mmap_corrupt.snap");
   ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
   std::string bytes = ReadFileBytes(path);
   // Flip one byte inside the first section's payload (header is 16 bytes,
-  // first section header another 16). The directory stays intact, so
-  // Map() succeeds — the damage must surface at first payload touch.
+  // first section header another 16). Every section header stays intact,
+  // so Map() succeeds — the damage must surface at first payload touch.
   bytes[33] = static_cast<char>(bytes[33] ^ 0x5A);
   WriteFileBytes(path, bytes);
   auto mapped = MappedSnapshot::Map(path);
@@ -535,36 +530,6 @@ TEST(MappedSnapshotTest, UnlinkedWhileMappedKeepsServing) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->corpus.size(), GetFixture().gc.corpus.size());
   ASSERT_EQ(decoded->pipelines.size(), 1u);
-}
-
-TEST(MappedSnapshotTest, LegacyLayoutFallsBackToParseIdentically) {
-  Snapshot snapshot = MakeSnapshot();
-  std::string legacy_path = TempPath("mmap_legacy.snap");
-  std::string new_path = TempPath("mmap_new.snap");
-  ASSERT_TRUE(
-      WriteSnapshotFile(snapshot, legacy_path, /*legacy_layout=*/true).ok());
-  ASSERT_TRUE(WriteSnapshotFile(snapshot, new_path).ok());
-  // Legacy files have no footer → Map() refuses with NotFound...
-  auto mapped = MappedSnapshot::Map(legacy_path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), util::StatusCode::kNotFound);
-  // ...and the streaming reader decodes them to the same snapshot the new
-  // layout yields through either reader (re-serialized bytes identical).
-  auto via_legacy = ReadSnapshotFile(legacy_path);
-  ASSERT_TRUE(via_legacy.ok()) << via_legacy.status().ToString();
-  auto new_mapped = MappedSnapshot::Map(new_path);
-  ASSERT_TRUE(new_mapped.ok()) << new_mapped.status().ToString();
-  auto via_mmap = (*new_mapped)->Decode();
-  ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
-  std::string legacy_out = TempPath("mmap_legacy_rt.snap");
-  std::string mmap_out = TempPath("mmap_new_rt.snap");
-  ASSERT_TRUE(WriteSnapshotFile(*via_legacy, legacy_out).ok());
-  ASSERT_TRUE(WriteSnapshotFile(*via_mmap, mmap_out).ok());
-  EXPECT_EQ(ReadFileBytes(legacy_out), ReadFileBytes(mmap_out));
-  std::remove(legacy_path.c_str());
-  std::remove(new_path.c_str());
-  std::remove(legacy_out.c_str());
-  std::remove(mmap_out.c_str());
 }
 
 TEST(StoreTest, PerUnitAlignStatsRoundTrip) {

@@ -3,9 +3,9 @@
 // reentrancy (For inside For, For inside Async), TaskHandle wait/steal/
 // error semantics, pool injection, DefaultThreads resolution — and the
 // regression this subsystem exists for: a nested pipeline run must not
-// put more threads on the box than the pool owns (the pre-pool
-// ParallelFor spawned fresh std::threads per call, so pipeline-over-pairs
-// times join-within-pair multiplied to T² workers).
+// put more threads on the box than the pool owns (the pre-pool parallel
+// loop spawned fresh std::threads per call, so pipeline-over-pairs times
+// join-within-pair multiplied to T² workers).
 
 #include <gtest/gtest.h>
 
@@ -66,6 +66,26 @@ TEST(ThreadPoolTest, ZeroItemsAndSingleWorkerRunInline) {
   std::vector<int> order;
   pool.For(5, 1, [&](size_t i) { order.push_back(static_cast<int>(i)); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolTest, ThreadPoolForMoreThreadsThanItems) {
+  // A thread cap far above n still runs each index exactly once.
+  std::atomic<size_t> sum{0};
+  util::thread_pool_for(3, 64, [&](size_t i) {
+    sum.fetch_add(i, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(sum.load(), 3u);
+}
+
+TEST(ThreadPoolTest, ThreadPoolForInlineExceptionPropagates) {
+  // threads == 1 runs inline, and an exception leaves the loop as is.
+  EXPECT_THROW(util::thread_pool_for(5, 1,
+                                     [&](size_t i) {
+                                       if (i == 3) {
+                                         throw std::logic_error("inline");
+                                       }
+                                     }),
+               std::logic_error);
 }
 
 TEST(ThreadPoolTest, CallerParticipatesInItsOwnLoop) {
@@ -337,6 +357,29 @@ TEST(ThreadPoolTest, PipelineOutputInvariantAcrossPoolSizes) {
   auto b = pipeline.Run("pt", "en", parallel);
   ASSERT_TRUE(b.ok());
 
+  ASSERT_EQ(a->per_type.size(), b->per_type.size());
+  for (size_t i = 0; i < a->per_type.size(); ++i) {
+    EXPECT_EQ(a->per_type[i].type_a, b->per_type[i].type_a);
+    EXPECT_EQ(a->per_type[i].alignment.matches.Clusters(),
+              b->per_type[i].alignment.matches.Clusters());
+  }
+}
+
+TEST(ParallelPipelineTest, SameResultsAsSequential) {
+  synth::CorpusGenerator generator(synth::GeneratorOptions::Tiny(123));
+  auto gc = generator.Generate();
+  ASSERT_TRUE(gc.ok());
+  match::MatchPipeline pipeline(&gc->corpus);
+
+  match::PipelineOptions sequential;
+  sequential.num_threads = 1;
+  match::PipelineOptions parallel;
+  parallel.num_threads = 8;
+
+  auto a = pipeline.Run("pt", "en", sequential);
+  auto b = pipeline.Run("pt", "en", parallel);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->per_type.size(), b->per_type.size());
   for (size_t i = 0; i < a->per_type.size(); ++i) {
     EXPECT_EQ(a->per_type[i].type_a, b->per_type[i].type_a);

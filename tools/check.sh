@@ -242,7 +242,7 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       cmake -B "$tsan_dir" -S . -DWIKIMATCH_SANITIZE=thread \
         -DWIKIMATCH_DEADLOCK_DEBUG=ON \
         -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=OFF &&
-      cmake --build "$tsan_dir" -j --target thread_pool_test parallel_test \
+      cmake --build "$tsan_dir" -j --target thread_pool_test \
         align_join_test serve_test lru_cache_test net_server_test \
         protocol_robustness_test ingest_test sync_test deadlock_test \
         robustness_test &&
@@ -251,7 +251,6 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       # nested For, async steal-on-wait, handle reuse after pool death,
       # and the multi-level pipeline run on an injected pool.
       "$tsan_dir"/tests/thread_pool_test &&
-      "$tsan_dir"/tests/parallel_test &&
       "$tsan_dir"/tests/align_join_test &&
       # serve_test includes the concurrent-reload stress (queries racing a
       # generation swap); lru_cache_test races inserts against a
