@@ -15,6 +15,7 @@
 
 #include "match/pipeline.h"
 #include "match/serialize.h"
+#include "snapshot_oracle.h"
 #include "store/crc32.h"
 #include "store/snapshot.h"
 #include "store/snapshot_reader.h"
@@ -494,6 +495,39 @@ TEST(StoreTest, SyncReportSectionRoundTripAndOmittedWhenEmpty) {
 
 // ------------------------------------------------------------- mmap reader
 
+TEST(MappedSnapshotTest, DecodeMatchesStreamingReaderByteIdentically) {
+  Snapshot snapshot = MakeSnapshot();
+  snapshot.meta.generation = 2;
+  snapshot.meta.history.push_back({2, 1, 0, 0, 1, 1});
+  snapshot.meta.options = OptionsFingerprint::From(match::PipelineOptions{});
+  std::string path = TempPath("mmap_roundtrip.snap");
+  ASSERT_TRUE(WriteSnapshotFile(snapshot, path).ok());
+
+  auto mapped = MappedSnapshot::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto via_mmap = (*mapped)->Decode();
+  ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
+  // The streaming fread reader survives as a test oracle.
+  auto via_parse = testing::ReadSnapshotOracle(path);
+  ASSERT_TRUE(via_parse.ok()) << via_parse.status().ToString();
+
+  // Strongest equivalence we can assert without an operator== over the
+  // whole snapshot: both decodes re-serialize to identical bytes.
+  std::string mmap_out = TempPath("mmap_roundtrip_a.snap");
+  std::string parse_out = TempPath("mmap_roundtrip_b.snap");
+  ASSERT_TRUE(WriteSnapshotFile(*via_mmap, mmap_out).ok());
+  ASSERT_TRUE(WriteSnapshotFile(*via_parse, parse_out).ok());
+  EXPECT_EQ(ReadFileBytes(mmap_out), ReadFileBytes(parse_out));
+  EXPECT_EQ(via_mmap->corpus.size(), snapshot.corpus.size());
+  EXPECT_EQ(via_mmap->meta.generation, 2u);
+  ASSERT_TRUE(via_mmap->meta.options.has_value());
+  EXPECT_TRUE(*via_mmap->meta.options ==
+              OptionsFingerprint::From(match::PipelineOptions{}));
+  std::remove(path.c_str());
+  std::remove(mmap_out.c_str());
+  std::remove(parse_out.c_str());
+}
+
 TEST(MappedSnapshotTest, CorruptSectionDetectedOnFirstLazyTouch) {
   std::string path = TempPath("mmap_corrupt.snap");
   ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
@@ -530,6 +564,43 @@ TEST(MappedSnapshotTest, UnlinkedWhileMappedKeepsServing) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->corpus.size(), GetFixture().gc.corpus.size());
   ASSERT_EQ(decoded->pipelines.size(), 1u);
+}
+
+TEST(MappedSnapshotTest, LegacyLayoutFallsBackToParseIdentically) {
+  // A pre-directory ("legacy") file once made Map() answer NotFound and
+  // fell back to the streaming parse. Map() now reads it directly and must
+  // decode it to what that parse yields, and to what a copy in the
+  // pad + directory + footer layout decodes to.
+  Snapshot snapshot = MakeSnapshot();
+  std::string legacy_path = TempPath("mmap_legacy.snap");
+  std::string directory_path = TempPath("mmap_directory.snap");
+  ASSERT_TRUE(WriteSnapshotFile(snapshot, legacy_path).ok());
+  WriteFileBytes(directory_path,
+                 testing::WithDirectoryLayout(ReadFileBytes(legacy_path)));
+
+  auto legacy_mapped = MappedSnapshot::Map(legacy_path);
+  ASSERT_TRUE(legacy_mapped.ok()) << legacy_mapped.status().ToString();
+  auto via_legacy = (*legacy_mapped)->Decode();
+  ASSERT_TRUE(via_legacy.ok()) << via_legacy.status().ToString();
+  auto via_parse = testing::ReadSnapshotOracle(legacy_path);
+  ASSERT_TRUE(via_parse.ok()) << via_parse.status().ToString();
+  auto directory_mapped = MappedSnapshot::Map(directory_path);
+  ASSERT_TRUE(directory_mapped.ok()) << directory_mapped.status().ToString();
+  auto via_directory = (*directory_mapped)->Decode();
+  ASSERT_TRUE(via_directory.ok()) << via_directory.status().ToString();
+
+  std::string legacy_out = TempPath("mmap_legacy_rt.snap");
+  std::string parse_out = TempPath("mmap_parse_rt.snap");
+  std::string directory_out = TempPath("mmap_directory_rt.snap");
+  ASSERT_TRUE(WriteSnapshotFile(*via_legacy, legacy_out).ok());
+  ASSERT_TRUE(WriteSnapshotFile(*via_parse, parse_out).ok());
+  ASSERT_TRUE(WriteSnapshotFile(*via_directory, directory_out).ok());
+  EXPECT_EQ(ReadFileBytes(legacy_out), ReadFileBytes(parse_out));
+  EXPECT_EQ(ReadFileBytes(legacy_out), ReadFileBytes(directory_out));
+  for (const std::string& p : {legacy_path, directory_path, legacy_out,
+                               parse_out, directory_out}) {
+    std::remove(p.c_str());
+  }
 }
 
 TEST(StoreTest, PerUnitAlignStatsRoundTrip) {

@@ -1,10 +1,11 @@
-// Tests for the shared work-stealing thread pool (util/thread_pool.h):
-// loop coverage and determinism, work stealing under skewed index costs,
-// reentrancy (For inside For, For inside Async), TaskHandle wait/steal/
-// error semantics, pool injection, DefaultThreads resolution — and the
-// regression this subsystem exists for: a nested pipeline run must not
-// put more threads on the box than the pool owns (the pre-pool parallel
-// loop spawned fresh std::threads per call, so pipeline-over-pairs times
+// Tests for the shared work-stealing thread pool (util/thread_pool.h) and
+// its blocking loop entry point thread_pool_for: loop coverage and
+// determinism, work stealing under skewed index costs, reentrancy (For
+// inside For, For inside Async), TaskHandle wait/steal/error semantics,
+// pool injection, DefaultThreads resolution — and the regression this
+// subsystem exists for: a nested pipeline run must not put more threads
+// on the box than the pool owns (the pre-pool parallel loop spawned
+// fresh std::threads per call, so pipeline-over-pairs times
 // join-within-pair multiplied to T² workers).
 
 #include <gtest/gtest.h>
@@ -68,7 +69,32 @@ TEST(ThreadPoolTest, ZeroItemsAndSingleWorkerRunInline) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPoolTest, ThreadPoolForMoreThreadsThanItems) {
+// The blocking loop entry point, util::thread_pool_for, which replaced
+// the per-call std::thread ParallelFor and keeps its contract.
+
+TEST(ParallelForTest, CoversEveryIndexOnce) {
+  std::vector<std::atomic<int>> hits(1000);
+  util::thread_pool_for(hits.size(), 8, [&](size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForTest, InlineWhenSingleThreaded) {
+  std::vector<int> order;
+  util::thread_pool_for(5, 1, [&](size_t i) {
+    order.push_back(static_cast<int>(i));  // Safe: runs inline.
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelForTest, ZeroItems) {
+  bool called = false;
+  util::thread_pool_for(0, 8, [&](size_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
+TEST(ParallelForTest, MoreThreadsThanItems) {
   // A thread cap far above n still runs each index exactly once.
   std::atomic<size_t> sum{0};
   util::thread_pool_for(3, 64, [&](size_t i) {
@@ -77,7 +103,24 @@ TEST(ThreadPoolTest, ThreadPoolForMoreThreadsThanItems) {
   EXPECT_EQ(sum.load(), 3u);
 }
 
-TEST(ThreadPoolTest, ThreadPoolForInlineExceptionPropagates) {
+TEST(ParallelForTest, WorkerExceptionRethrownOnCallingThread) {
+  // The first exception is captured, every participant drains, and the
+  // calling thread rethrows it.
+  std::atomic<size_t> ran{0};
+  try {
+    util::thread_pool_for(1000, 8, [&](size_t i) {
+      if (i == 137) throw std::runtime_error("worker 137 failed");
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    FAIL() << "expected the worker exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker 137 failed");
+  }
+  // Handout stops after the failure, so not every index need run.
+  EXPECT_LE(ran.load(), 999u);
+}
+
+TEST(ParallelForTest, InlineExceptionStillPropagates) {
   // threads == 1 runs inline, and an exception leaves the loop as is.
   EXPECT_THROW(util::thread_pool_for(5, 1,
                                      [&](size_t i) {
@@ -86,6 +129,15 @@ TEST(ThreadPoolTest, ThreadPoolForInlineExceptionPropagates) {
                                        }
                                      }),
                std::logic_error);
+}
+
+TEST(ParallelForTest, AllWorkersJoinWhenEveryCallThrows) {
+  // Every invocation throwing must still produce exactly one rethrow.
+  EXPECT_THROW(util::thread_pool_for(64, 8,
+                                     [&](size_t) {
+                                       throw std::runtime_error("all fail");
+                                     }),
+               std::runtime_error);
 }
 
 TEST(ThreadPoolTest, CallerParticipatesInItsOwnLoop) {
