@@ -10,6 +10,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -22,10 +23,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// epoll_event.data values for the two non-connection fds. Real
-// Connection pointers are aligned allocations and can never equal these.
+// epoll_event.data values for the non-connection fds. Real Connection
+// pointers are aligned allocations and can never equal these.
 constexpr uint64_t kListenerTag = 1;
 constexpr uint64_t kWakeTag = 2;
+constexpr uint64_t kReloadDoneTag = 3;
 
 // The one-line reply a shed accept gets before its socket is closed.
 constexpr char kBusyReply[] = "err busy (server overloaded, retry later)\n";
@@ -49,19 +51,37 @@ struct Server::Connection {
   bool paused = false;           // EPOLLIN dropped (backpressure)
   bool peer_eof = false;         // client half-closed; tail handled
   bool want_close = false;       // close once wbuf is flushed
-  bool closed = false;           // fd closed; free at end of event
+  bool closed = false;           // fd closed; free at end of batch
+  // A `reload` runs on the pool and owes this connection its next reply:
+  // no line is popped and nothing is read until the task reports back.
+  bool reload_pending = false;
+  util::TaskHandle reload_task;
   Clock::time_point last_active;
+};
+
+// A finished reload task's answer, handed back to the connection's loop.
+struct Server::ReloadDone {
+  Connection* conn;
+  std::string response;
 };
 
 // One event-loop thread's world: its epoll set and the connections it
 // owns. `graveyard` defers freeing a closed connection to the end of the
-// current event so no dangling pointer is touched mid-handler.
+// current batch of events so no dangling pointer is touched; `parked`
+// keeps a closed connection alive until its reload task reports back.
 struct Server::Loop {
   int epoll_fd = -1;
   bool draining = false;
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
   std::vector<std::unique_ptr<Connection>> graveyard;
+  std::vector<std::unique_ptr<Connection>> parked;
+  size_t reloads_in_flight = 0;
   Clock::time_point last_idle_sweep;
+  // Reload tasks push their answer here and bump the eventfd; the loop
+  // takes the queue on kReloadDoneTag.
+  int reload_done_fd = -1;
+  util::Mutex reload_done_mu;
+  std::vector<ReloadDone> reload_done WIKIMATCH_GUARDED_BY(reload_done_mu);
 };
 
 util::Result<std::unique_ptr<Server>> Server::Create(
@@ -207,6 +227,16 @@ void Server::LoopMain() {
   ev.events = EPOLLIN;
   ev.data.u64 = kWakeTag;
   ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, shutdown_->wake_fd(), &ev);
+  loop.reload_done_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (loop.reload_done_fd < 0) {
+    WIKIMATCH_LOG(Warning) << "net: eventfd failed: " << std::strerror(errno);
+    ::close(loop.epoll_fd);
+    return;
+  }
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = EPOLLIN;
+  ev.data.u64 = kReloadDoneTag;
+  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.reload_done_fd, &ev);
 
   loop.last_idle_sweep = Clock::now();
   std::array<epoll_event, 64> events;
@@ -229,6 +259,10 @@ void Server::LoopMain() {
         continue;
       }
       if (event.data.u64 == kWakeTag) continue;
+      if (event.data.u64 == kReloadDoneTag) {
+        OnReloadsDone(&loop);
+        continue;
+      }
       auto* conn = static_cast<Connection*>(event.data.ptr);
       if (conn->closed) continue;
       if (event.events & (EPOLLERR | EPOLLHUP)) {
@@ -239,11 +273,14 @@ void Server::LoopMain() {
           OnReadable(&loop, conn);
         }
       }
-      loop.graveyard.clear();
     }
+    // Not per event: a reload completion can close a connection whose own
+    // event sits later in this batch.
+    loop.graveyard.clear();
     SweepIdle(&loop);
   }
   Drain(&loop);
+  ::close(loop.reload_done_fd);
   ::close(loop.epoll_fd);
 }
 
@@ -293,29 +330,101 @@ void Server::HandleAccepts(Loop* loop) {
 
 // Runs one complete line through the shared protocol semantics and queues
 // the response. Returns true when the line asked to end the session.
-bool Server::DispatchLine(Connection* conn, const std::string& line) {
+bool Server::DispatchLine(Loop* loop, Connection* conn,
+                          const std::string& line) {
+  if (serve::IsReloadRequest(line)) {
+    StartReload(loop, conn, line);
+    return false;
+  }
   pending_requests_.fetch_add(1, std::memory_order_relaxed);
   serve::LineOutcome outcome = serve::HandleRequestLine(service_, line);
   pending_requests_.fetch_sub(1, std::memory_order_relaxed);
   if (outcome.quit) return true;
   if (outcome.response.empty()) return false;  // blank line
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (outcome.response.compare(0, 12, "err protocol") == 0) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  conn->wbuf += outcome.response;
+  QueueResponse(conn, outcome.response);
   return false;
 }
 
+void Server::QueueResponse(Connection* conn, const std::string& response) {
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  if (response.compare(0, 12, "err protocol") == 0) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  }
+  conn->wbuf += response;
+}
+
+// Decoding a snapshot takes as long as the snapshot is large, so `reload`
+// runs as a pool task; the loop keeps serving its other connections from
+// the old generation meanwhile. The task touches no connection state: it
+// hands its answer back through the loop's queue, and the connection (or,
+// if it closes first, its parked corpse) outlives the task.
+void Server::StartReload(Loop* loop, Connection* conn,
+                         const std::string& line) {
+  pending_requests_.fetch_add(1, std::memory_order_relaxed);
+  conn->reload_pending = true;
+  ++loop->reloads_in_flight;
+  conn->reload_task = util::thread_pool_async([this, loop, conn, line]() {
+    std::string response;
+    try {
+      response = serve::HandleRequestLine(service_, line).response;
+    } catch (...) {
+      response = "err reload failed: internal error\n";
+    }
+    {
+      util::MutexLock lock(loop->reload_done_mu);
+      loop->reload_done.push_back({conn, std::move(response)});
+    }
+    uint64_t one = 1;
+    ssize_t ignored = ::write(loop->reload_done_fd, &one, sizeof(one));
+    (void)ignored;
+  });
+}
+
+void Server::OnReloadsDone(Loop* loop) {
+  uint64_t count;
+  ssize_t ignored = ::read(loop->reload_done_fd, &count, sizeof(count));
+  (void)ignored;
+  std::vector<ReloadDone> done;
+  {
+    util::MutexLock lock(loop->reload_done_mu);
+    done.swap(loop->reload_done);
+  }
+  for (ReloadDone& reply : done) {
+    Connection* conn = reply.conn;
+    conn->reload_pending = false;
+    conn->reload_task = util::TaskHandle();
+    --loop->reloads_in_flight;
+    pending_requests_.fetch_sub(1, std::memory_order_relaxed);
+    if (conn->closed) {
+      for (auto it = loop->parked.begin(); it != loop->parked.end(); ++it) {
+        if (it->get() == conn) {
+          loop->graveyard.push_back(std::move(*it));
+          loop->parked.erase(it);
+          break;
+        }
+      }
+      continue;
+    }
+    conn->last_active = Clock::now();
+    QueueResponse(conn, reply.response);
+    // Lines pipelined behind the reload, then the socket: edge-triggered
+    // epoll raised no new edge for bytes that arrived while reading was
+    // held back. A draining loop reads nothing new.
+    ProcessLines(loop, conn);
+    if (!conn->closed && !loop->draining) OnReadable(loop, conn);
+  }
+}
+
 void Server::ProcessLines(Loop* loop, Connection* conn) {
-  while (!conn->closed && !conn->paused && !conn->want_close) {
+  while (!conn->closed && !conn->paused && !conn->want_close &&
+         !conn->reload_pending) {
     std::string line;
     serve::LineSplitter::Next next = conn->splitter.Pop(&line);
     if (next == serve::LineSplitter::Next::kNeedMore) break;
     if (next == serve::LineSplitter::Next::kOversized) {
       conn->wbuf += serve::OversizedLineResponse(options_.max_line_bytes);
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    } else if (DispatchLine(conn, line)) {
+    } else if (DispatchLine(loop, conn, line)) {
       // "quit": flush what is owed, drop the rest of the pipeline.
       conn->want_close = true;
       break;
@@ -331,12 +440,14 @@ void Server::ProcessLines(Loop* loop, Connection* conn) {
     }
   }
   if (conn->closed) return;
-  if (conn->peer_eof && !conn->paused && !conn->want_close) {
+  if (conn->peer_eof && !conn->paused && !conn->want_close &&
+      !conn->reload_pending) {
     // The client half-closed without terminating its last line; serve the
-    // tail as a final request, then close after the flush.
+    // tail as a final request, then close after the flush (after the
+    // reload's answer, when the tail is a reload).
     std::string tail;
-    if (conn->splitter.Finish(&tail)) (void)DispatchLine(conn, tail);
-    conn->want_close = true;
+    if (conn->splitter.Finish(&tail)) (void)DispatchLine(loop, conn, tail);
+    if (!conn->reload_pending) conn->want_close = true;
   }
   FlushWrites(loop, conn);
 }
@@ -349,7 +460,7 @@ void Server::OnReadable(Loop* loop, Connection* conn) {
   // kernel buffer (which is the whole point: TCP flow control pushes the
   // pressure back to the client).
   while (!conn->closed && !conn->paused && !conn->want_close &&
-         !conn->peer_eof) {
+         !conn->peer_eof && !conn->reload_pending) {
     ssize_t r = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (r > 0) {
       bytes_read_.fetch_add(static_cast<uint64_t>(r),
@@ -440,7 +551,9 @@ void Server::CloseConnection(Loop* loop, Connection* conn) {
   active_connections_.fetch_sub(1, std::memory_order_relaxed);
   auto it = loop->conns.find(conn->fd);
   if (it != loop->conns.end() && it->second.get() == conn) {
-    loop->graveyard.push_back(std::move(it->second));
+    // A reload task still holds the pointer; OnReloadsDone frees it.
+    (conn->reload_pending ? loop->parked : loop->graveyard)
+        .push_back(std::move(it->second));
     loop->conns.erase(it);
   }
 }
@@ -457,6 +570,8 @@ void Server::SweepIdle(Loop* loop) {
   // Sweep order is per-connection bookkeeping; no response bytes depend
   // on which stale peer closes first.
   for (auto& [fd, conn] : loop->conns) {  // NOLINT(unordered-iter)
+    // A connection waiting on its reload is not idle: the server owes it.
+    if (conn->reload_pending) continue;
     if (now - conn->last_active > limit) stale.push_back(conn.get());
   }
   for (auto* conn : stale) {
@@ -473,18 +588,24 @@ void Server::Drain(Loop* loop) {
   ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
   ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, shutdown_->wake_fd(), nullptr);
 
-  // Answer everything already received in full; read nothing new.
+  // Answer everything already received in full; read nothing new. A
+  // reload in flight is waited for, then the lines queued behind it are
+  // answered (which may start another reload, hence the loop).
   std::vector<Connection*> open;
-  open.reserve(loop->conns.size());
-  // Each connection's replies stay ordered within that connection; the
-  // drain visit order across peers cannot reorder any byte stream.
-  for (auto& [fd, conn] : loop->conns) {  // NOLINT(unordered-iter)
-    open.push_back(conn.get());
+  for (;;) {
+    open = OpenConnections(loop);
+    for (auto* conn : open) {
+      if (conn->closed) continue;
+      conn->paused = false;  // drain ignores backpressure: flush everything
+      ProcessLines(loop, conn);
+    }
+    loop->graveyard.clear();
+    if (loop->reloads_in_flight == 0) break;
+    WaitForReloads(loop);
   }
+  ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, loop->reload_done_fd, nullptr);
+  open = OpenConnections(loop);
   for (auto* conn : open) {
-    if (conn->closed) continue;
-    conn->paused = false;  // drain ignores backpressure: flush everything
-    ProcessLines(loop, conn);
     if (conn->closed) continue;
     conn->want_close = true;
     FlushWrites(loop, conn);
@@ -504,7 +625,8 @@ void Server::Drain(Loop* loop) {
     }
     for (int i = 0; i < n; ++i) {
       if (events[i].data.u64 == kListenerTag ||
-          events[i].data.u64 == kWakeTag) {
+          events[i].data.u64 == kWakeTag ||
+          events[i].data.u64 == kReloadDoneTag) {
         continue;
       }
       auto* conn = static_cast<Connection*>(events[i].data.ptr);
@@ -518,14 +640,32 @@ void Server::Drain(Loop* loop) {
     }
   }
   // Past the budget: cut the remaining connections loose.
-  std::vector<Connection*> rest;
-  rest.reserve(loop->conns.size());
-  // Tear-down order of abandoned peers is unobservable in any output.
-  for (auto& [fd, conn] : loop->conns) {  // NOLINT(unordered-iter)
-    rest.push_back(conn.get());
-  }
-  for (auto* conn : rest) CloseConnection(loop, conn);
+  for (auto* conn : OpenConnections(loop)) CloseConnection(loop, conn);
   loop->graveyard.clear();
+}
+
+std::vector<Server::Connection*> Server::OpenConnections(Loop* loop) {
+  std::vector<Connection*> open;
+  open.reserve(loop->conns.size());
+  // Each connection's replies stay ordered within that connection; the
+  // visit order across peers cannot reorder any byte stream.
+  for (auto& [fd, conn] : loop->conns) {  // NOLINT(unordered-iter)
+    open.push_back(conn.get());
+  }
+  return open;
+}
+
+// Blocks until every reload this loop started has reported back, then
+// answers them. TaskHandle::Wait runs a task no worker has picked up yet
+// on this thread, so a drain never waits on a saturated pool.
+void Server::WaitForReloads(Loop* loop) {
+  std::vector<util::TaskHandle> tasks;
+  for (auto* conn : OpenConnections(loop)) {
+    if (conn->reload_pending) tasks.push_back(conn->reload_task);
+  }
+  for (auto& conn : loop->parked) tasks.push_back(conn->reload_task);
+  for (auto& task : tasks) task.Wait();
+  OnReloadsDone(loop);
 }
 
 }  // namespace net

@@ -22,11 +22,24 @@
 //    buffers are flushed (bounded by `drain_timeout_ms`), and Run()
 //    returns cleanly.
 //
+//  - Hot reload off the loop: a `reload` line is the one request whose
+//    cost grows with the snapshot (map, CRC, decode, index build), so it
+//    runs as a task on the shared pool (util::thread_pool_async). The
+//    loop keeps answering every other connection from the old generation
+//    meanwhile; the task decodes, swaps, and then frees the retired
+//    generation itself once its last reader lets go (see
+//    match_service.h). Per-connection order holds because a connection
+//    with a reload in flight pops no further line and reads nothing until
+//    the task hands its answer back through the loop's completion queue
+//    (a mutex-guarded vector plus an eventfd in the loop's epoll set).
+//    A connection closed meanwhile is parked, not freed, until then, and
+//    drain waits for every reload before closing.
+//
 // Each connection is owned by exactly one event-loop thread, so per
-// connection state needs no locks; cross-thread state is atomics plus the
-// internally synchronized MatchService. Hot reload needs nothing special
-// here: Handle() pins a generation per request (see match_service.h), so
-// a `reload` racing live traffic can neither drop nor mix responses —
+// connection state needs no locks; cross-thread state is atomics, the
+// per-loop reload completion queue, and the internally synchronized
+// MatchService. Handle() pins a generation per request, so a `reload`
+// racing live traffic can neither drop nor mix responses —
 // tests/net_server_test.cc stresses exactly that under TSan.
 
 #ifndef WIKIMATCH_NET_SERVER_H_
@@ -127,6 +140,7 @@ class Server {
  private:
   struct Connection;
   struct Loop;
+  struct ReloadDone;
 
   Server(serve::MatchService* service, const ServerOptions& options,
          ShutdownFlag* shutdown);
@@ -137,7 +151,12 @@ class Server {
   // One event loop's body, split by concern; all operate on loop-owned
   // connections only (no cross-thread connection access).
   void HandleAccepts(Loop* loop);
-  bool DispatchLine(Connection* conn, const std::string& line);
+  bool DispatchLine(Loop* loop, Connection* conn, const std::string& line);
+  void QueueResponse(Connection* conn, const std::string& response);
+  void StartReload(Loop* loop, Connection* conn, const std::string& line);
+  void OnReloadsDone(Loop* loop);
+  void WaitForReloads(Loop* loop);
+  static std::vector<Connection*> OpenConnections(Loop* loop);
   void OnReadable(Loop* loop, Connection* conn);
   void OnWritable(Loop* loop, Connection* conn);
   void ProcessLines(Loop* loop, Connection* conn);

@@ -8,8 +8,12 @@
 // immutable Generation object held by shared_ptr. Readers pin the current
 // generation for the duration of one request; Reload() builds the next
 // generation entirely off the read path and then swaps the pointer, so
-// in-flight requests finish against the generation they started on and the
-// old one is freed when its last reader drops it (RCU by shared_ptr).
+// in-flight requests finish against the generation they started on (RCU by
+// shared_ptr). The retired generation is destroyed by the thread that ran
+// Reload(), once the last reader has unpinned it — never under a lock and
+// never on a reader, whose request would otherwise pay the tens of
+// milliseconds a large generation takes to free. A `reload` request line
+// therefore pins nothing itself (it would wait on its own pin).
 // Cache keys are tagged with the generation's load sequence number, which
 // invalidates every cached response at swap time without touching the
 // cache: stale entries simply stop being addressable and age out of the
@@ -98,6 +102,10 @@ struct ServedQueryResult {
   std::vector<ServedAnswer> answers;
 };
 
+/// \brief True when `line` is a `reload` request — the one verb whose
+/// cost grows with the snapshot, so transports run it off their event loop.
+bool IsReloadRequest(const std::string& line);
+
 /// \brief Thread-safe snapshot-backed match server with hot reload.
 class MatchService {
  public:
@@ -115,7 +123,9 @@ class MatchService {
   /// \brief Builds serving indexes for the snapshot at `path` (or, with an
   /// empty path, the path of the last successful load) off the read path,
   /// then atomically swaps it in. On error the previous generation keeps
-  /// serving untouched. Concurrent Reload() calls are serialized.
+  /// serving untouched. Concurrent Reload() calls are serialized. Before
+  /// returning, waits for readers still pinning the replaced generation to
+  /// finish and frees it on the calling thread.
   util::Status Reload(const std::string& path = "");
 
   // ---- Typed API (uncached) ----------------------------------------------
@@ -207,6 +217,10 @@ class MatchService {
   /// The decoded core, materializing it on first call after Load(). A
   /// decode failure is sticky until a successful Reload().
   util::Result<std::shared_ptr<const GenerationState>> Core() const;
+
+  /// The `reload` verb: Reload() plus its one-line answer. Runs without a
+  /// pinned generation.
+  std::string HandleReload(const std::string& line);
 
   /// Uncached dispatch against one pinned generation.
   std::string Dispatch(const GenerationState& gen, const std::string& line,

@@ -79,8 +79,12 @@ double Rng::NextGaussian() {
 }
 
 uint64_t Rng::NextZipf(uint64_t n, double s) {
-  ZipfSampler sampler(n, s);
-  return sampler.Sample(this);
+  if (zipf_ == nullptr || zipf_n_ != n || zipf_s_ != s) {
+    zipf_ = std::make_shared<const ZipfSampler>(n, s);
+    zipf_n_ = n;
+    zipf_s_ = s;
+  }
+  return zipf_->Sample(this);
 }
 
 size_t Rng::NextWeighted(const std::vector<double>& weights) {

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,8 @@ namespace util {
 /// Exposed for seeding and for cheap one-shot hashing of identifiers into
 /// per-object seeds.
 uint64_t SplitMix64(uint64_t* state);
+
+class ZipfSampler;
 
 /// \brief Deterministic xoshiro256** generator.
 class Rng {
@@ -50,9 +53,9 @@ class Rng {
 
   /// \brief Zipf-distributed rank in [0, n) with exponent `s`.
   ///
-  /// Rank 0 is the most probable. Implemented via inverse-CDF over the
-  /// precomputed harmonic weights when n is small; callers with large n
-  /// should prefer ZipfSampler.
+  /// Rank 0 is the most probable. Draws exactly what a fresh
+  /// ZipfSampler(n, s) would; the sampler for the last (n, s) is cached,
+  /// so only a change of parameters pays its O(n) construction.
   uint64_t NextZipf(uint64_t n, double s);
 
   /// \brief Index drawn from the discrete distribution given by `weights`.
@@ -77,6 +80,11 @@ class Rng {
 
  private:
   uint64_t s_[4];
+  // NextZipf's sampler for (zipf_n_, zipf_s_); immutable, so copies of
+  // this generator may share it.
+  std::shared_ptr<const ZipfSampler> zipf_;
+  uint64_t zipf_n_ = 0;
+  double zipf_s_ = 0.0;
 };
 
 /// \brief Precomputed Zipf sampler over ranks [0, n).

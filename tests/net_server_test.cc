@@ -3,13 +3,16 @@
 // lines), connection and pending-request load shedding, idle timeouts,
 // backpressure against slow readers, graceful drain, and — the acceptance
 // criterion for hot reload — a reload racing live multi-connection
-// traffic with zero dropped and zero cross-generation-mixed responses.
+// traffic with zero dropped and zero cross-generation-mixed responses,
+// plus the off-loop reload itself (other connections answered while a
+// reload is queued, per-connection order, close and drain mid-reload).
 // Runs under TSan via tools/check.sh.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -27,6 +30,7 @@
 #include "serve/match_service.h"
 #include "store/snapshot.h"
 #include "synth/generator.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace {
@@ -41,6 +45,17 @@ struct Fixture {
   std::string snapshot_path;
 };
 
+// Set once the fixture exists. Its snapshot file is removed when the test
+// process exits — not in an Environment::TearDown, which --gtest_repeat
+// runs after every iteration while the fixture stays cached.
+const Fixture* g_fixture = nullptr;
+
+struct FixtureSnapshotRemover {
+  ~FixtureSnapshotRemover() {
+    if (g_fixture != nullptr) std::remove(g_fixture->snapshot_path.c_str());
+  }
+} g_fixture_snapshot_remover;
+
 const Fixture& GetFixture() {
   static const Fixture* fixture = [] {
     auto* f = new Fixture();
@@ -50,7 +65,8 @@ const Fixture& GetFixture() {
     f->result = std::move(pipeline.Run("pt", "en")).ValueOrDie();
     f->dictionary = pipeline.dictionary();
     // ctest runs each TEST as its own process; a per-pid path keeps those
-    // processes from truncating each other's snapshot mid-load.
+    // processes from truncating each other's snapshot mid-load (and the
+    // remover above deletes it again).
     f->snapshot_path = ::testing::TempDir() + "/net_server_test." +
                        std::to_string(::getpid()) + ".snap";
     store::Snapshot snapshot;
@@ -59,6 +75,7 @@ const Fixture& GetFixture() {
     snapshot.pipelines.emplace(store::LanguagePair("pt", "en"), f->result);
     auto status = store::WriteSnapshotFile(snapshot, f->snapshot_path);
     if (!status.ok()) ADD_FAILURE() << status.ToString();
+    g_fixture = f;
     return f;
   }();
   return *fixture;
@@ -136,6 +153,22 @@ class BlockingClient {
     }
   }
   void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
+
+  // Closes with a zero linger, so the server sees a reset (EPOLLHUP /
+  // EPOLLERR) rather than an orderly end of stream.
+  void AbortiveClose() {
+    linger abort{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+    Close();
+  }
+
+  // True when no response byte has arrived (without blocking).
+  bool NothingToRead() {
+    if (!rbuf_.empty()) return false;
+    char c;
+    ssize_t r = ::recv(fd_, &c, 1, MSG_DONTWAIT | MSG_PEEK);
+    return r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
 
   bool SendRaw(const std::string& data) {
     size_t off = 0;
@@ -563,6 +596,167 @@ TEST(NetServerTest, ReloadUnderLiveTrafficDropsAndMixesNothing) {
   EXPECT_GE(stats.requests,
             static_cast<uint64_t>(kReaders * kPerReader + 120 + 14));
   std::remove(next.c_str());
+}
+
+// ---------------------------------------------------------- off-loop reload
+
+// Installs a one-worker pool as the global pool and parks its worker until
+// Release(): a reload task queued behind it stays queued, so "a reload is
+// in flight" is a state the test holds rather than a race it hopes to hit.
+class ParkedPool {
+ public:
+  ParkedPool() : pool_(1), override_(&pool_) {
+    blocker_ = pool_.Async([this]() {
+      while (!released_.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  ~ParkedPool() {
+    Release();
+    blocker_.Wait();
+  }
+  ParkedPool(const ParkedPool&) = delete;
+  ParkedPool& operator=(const ParkedPool&) = delete;
+
+  void Release() { released_.store(true, std::memory_order_release); }
+
+ private:
+  std::atomic<bool> released_{false};
+  util::ThreadPool pool_;
+  util::ScopedThreadPoolOverride override_;
+  util::TaskHandle blocker_;
+};
+
+// Sends `request` on `client` and returns the answer.
+std::string RoundTrip(BlockingClient* client, const std::string& request) {
+  if (!client->SendRaw(request + "\n")) return "";
+  return client->ReadResponse();
+}
+
+TEST(NetServerTest, OtherConnectionsAreServedWhileAReloadIsQueued) {
+  std::string next = WriteGenerationSnapshot(1, "net_offloop_g1.snap");
+  auto service = LoadService();
+  ParkedPool parked;
+  net::ServerOptions options;
+  options.num_threads = 1;  // A and B share the one event loop
+  auto server = StartServer(service.get(), options);
+  BlockingClient a(server->port());
+  BlockingClient b(server->port());
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
+  const std::string data = "alignments pt:en film";
+  std::string baseline = service->Handle(data);
+
+  // A pipelines a generation probe behind its reload. The reload reached
+  // the loop no later than B's first line did, so every B answer below is
+  // given while the reload sits in the parked pool.
+  ASSERT_TRUE(a.SendRaw("reload " + next + "\ngeneration\n"));
+  std::string gen_b = RoundTrip(&b, "generation");
+  EXPECT_NE(gen_b.find("generation=0 "), std::string::npos) << gen_b;
+  EXPECT_EQ(RoundTrip(&b, data), baseline);
+  EXPECT_EQ(RoundTrip(&b, "health").compare(0, 5, "ok 1\n"), 0);
+  EXPECT_TRUE(a.NothingToRead());  // A's probe waits behind its reload
+  EXPECT_EQ(service->Generation(), 0u);
+
+  parked.Release();
+  std::string reloaded = a.ReadResponse();
+  EXPECT_NE(reloaded.find("reloaded generation=1 load_seq=2"),
+            std::string::npos)
+      << reloaded;
+  std::string gen_a = a.ReadResponse();
+  EXPECT_NE(gen_a.find("generation=1 "), std::string::npos) << gen_a;
+  EXPECT_NE(gen_a.find(" deltas_applied=1"), std::string::npos) << gen_a;
+  // A keeps reading after the reload: a later line is answered too.
+  EXPECT_EQ(RoundTrip(&a, data), baseline);
+  gen_b = RoundTrip(&b, "generation");
+  EXPECT_NE(gen_b.find("generation=1 "), std::string::npos) << gen_b;
+  std::remove(next.c_str());
+}
+
+TEST(NetServerTest, ConnectionResetDuringReloadIsParkedNotFreed) {
+  std::string next = WriteGenerationSnapshot(1, "net_reset_g1.snap");
+  auto service = LoadService();
+  ParkedPool parked;
+  net::ServerOptions options;
+  options.num_threads = 1;
+  auto server = StartServer(service.get(), options);
+  BlockingClient a(server->port());
+  BlockingClient b(server->port());
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
+  ASSERT_TRUE(a.SendRaw("reload " + next + "\n"));
+  ASSERT_FALSE(RoundTrip(&b, "health").empty());  // the reload is queued
+  a.AbortiveClose();
+  // The reset closes A while its reload task still holds the connection.
+  for (int i = 0; i < 500 && server->Stats().active_connections != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server->Stats().active_connections, 1u);
+
+  parked.Release();
+  for (int i = 0; i < 500 && service->Generation() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(service->Generation(), 1u);
+  // The completion for the parked connection is consumed on the loop; B's
+  // next answer comes after it and from the new generation.
+  std::string gen_b = RoundTrip(&b, "generation");
+  EXPECT_NE(gen_b.find("generation=1 "), std::string::npos) << gen_b;
+  server->Shutdown();
+  server->Wait();
+  std::remove(next.c_str());
+}
+
+TEST(NetServerTest, ShutdownDrainsAnInFlightReload) {
+  std::string next = WriteGenerationSnapshot(1, "net_drain_g1.snap");
+  auto service = LoadService();
+  ParkedPool parked;  // never released before the drain
+  net::ServerOptions options;
+  options.num_threads = 1;
+  auto server = StartServer(service.get(), options);
+  BlockingClient a(server->port());
+  BlockingClient b(server->port());
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
+  ASSERT_TRUE(a.SendRaw("reload " + next + "\ngeneration\n"));
+  ASSERT_FALSE(RoundTrip(&b, "health").empty());  // the reload is queued
+  EXPECT_TRUE(a.NothingToRead());
+
+  // The drain takes the queued task off the parked pool and runs it.
+  server->Shutdown();
+  server->Wait();
+  std::string reloaded = a.ReadResponse();
+  EXPECT_NE(reloaded.find("reloaded generation=1 load_seq=2"),
+            std::string::npos)
+      << reloaded;
+  std::string gen_a = a.ReadResponse();
+  EXPECT_NE(gen_a.find("generation=1 "), std::string::npos) << gen_a;
+  EXPECT_TRUE(a.AtEof());
+  EXPECT_TRUE(b.AtEof());
+  EXPECT_EQ(service->Generation(), 1u);
+  std::remove(next.c_str());
+}
+
+TEST(NetServerTest, FailedReloadAnswersErrAndOldGenerationServes) {
+  auto service = LoadService();
+  net::ServerOptions options;
+  options.num_threads = 1;
+  auto server = StartServer(service.get(), options);
+  BlockingClient a(server->port());
+  BlockingClient b(server->port());
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
+  const std::string data = "alignments pt:en film";
+  std::string baseline = service->Handle(data);
+  ASSERT_TRUE(a.SendRaw("reload /nonexistent/next.snap\ngeneration\n"));
+  std::string failed = a.ReadResponse();
+  EXPECT_EQ(failed.compare(0, 4, "err "), 0) << failed;
+  std::string gen_a = a.ReadResponse();
+  EXPECT_NE(gen_a.find("generation=0 load_seq=1"), std::string::npos)
+      << gen_a;
+  EXPECT_EQ(RoundTrip(&b, data), baseline);
+  EXPECT_EQ(service->Stats().loads, 1u);
 }
 
 // --------------------------------------------------------------- concurrency

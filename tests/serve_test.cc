@@ -36,6 +36,17 @@ struct Fixture {
   std::string snapshot_path;
 };
 
+// Set once the fixture exists. Its snapshot file is removed when the test
+// process exits — not in an Environment::TearDown, which --gtest_repeat
+// runs after every iteration while the fixture stays cached.
+const Fixture* g_fixture = nullptr;
+
+struct FixtureSnapshotRemover {
+  ~FixtureSnapshotRemover() {
+    if (g_fixture != nullptr) std::remove(g_fixture->snapshot_path.c_str());
+  }
+} g_fixture_snapshot_remover;
+
 const Fixture& GetFixture() {
   static const Fixture* fixture = [] {
     auto* f = new Fixture();
@@ -45,7 +56,8 @@ const Fixture& GetFixture() {
     f->result = std::move(pipeline.Run("pt", "en")).ValueOrDie();
     f->dictionary = pipeline.dictionary();
     // ctest runs each TEST as its own process; a per-pid path keeps those
-    // processes from truncating each other's snapshot mid-load.
+    // processes from truncating each other's snapshot mid-load (and the
+    // remover above deletes it again).
     f->snapshot_path = ::testing::TempDir() + "/serve_test." +
                        std::to_string(::getpid()) + ".snap";
     store::Snapshot snapshot;
@@ -56,6 +68,7 @@ const Fixture& GetFixture() {
     if (!status.ok()) {
       ADD_FAILURE() << status.ToString();
     }
+    g_fixture = f;
     return f;
   }();
   return *fixture;
@@ -488,11 +501,11 @@ TEST(ServeTest, ReloadSwapsGenerationAndInvalidatesCache) {
 
   // Same request: the generation-tagged key makes it a miss, not a stale
   // hit — and the answer (same matching payload) is unchanged. Misses are
-  // 3, not 2: the uncacheable reload line itself probed the cache once.
+  // 2: the uncacheable reload line never probes the cache.
   std::string after = (*service)->Handle(request);
   EXPECT_EQ(after, before);
   EXPECT_EQ((*service)->Stats().cache.hits, 1u);
-  EXPECT_EQ((*service)->Stats().cache.misses, 3u);
+  EXPECT_EQ((*service)->Stats().cache.misses, 2u);
 
   // The generation verb reflects the delta manifest.
   std::string gen_line = (*service)->Handle("generation");

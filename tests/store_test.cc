@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <vector>
 
 #include "match/pipeline.h"
@@ -21,6 +22,7 @@
 #include "store/snapshot_reader.h"
 #include "synth/generator.h"
 #include "util/binary_io.h"
+#include "util/rng.h"
 #include "wiki/serialize.h"
 
 namespace wikimatch {
@@ -115,6 +117,52 @@ TEST(Crc32Test, KnownVectorsAndChunking) {
   EXPECT_EQ(Crc32(""), 0u);
   uint32_t chunked = Crc32("6789", Crc32("12345"));
   EXPECT_EQ(chunked, 0xCBF43926u);
+}
+
+// The byte-at-a-time definition Crc32 must agree with, kept independent of
+// the slicing-by-8 implementation under test.
+uint32_t ReferenceCrc32(std::string_view data, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    c ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(util::Rng* rng, size_t n) {
+  std::string bytes(n, '\0');
+  for (auto& b : bytes) b = static_cast<char>(rng->NextBounded(256));
+  return bytes;
+}
+
+TEST(Crc32Test, ChunkedContinuationEqualsOneShotAtEverySplit) {
+  util::Rng rng(0xC4C32);
+  std::string buffer = RandomBytes(&rng, 301);
+  uint32_t whole = Crc32(buffer);
+  EXPECT_EQ(whole, ReferenceCrc32(buffer));
+  std::string_view view(buffer);
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    uint32_t chunked =
+        Crc32(view.substr(split), Crc32(view.substr(0, split)));
+    ASSERT_EQ(chunked, whole) << "split at " << split;
+  }
+}
+
+TEST(Crc32Test, RandomLengthsAndMisalignedStartsMatchTheReference) {
+  util::Rng rng(20261020);
+  std::string buffer = RandomBytes(&rng, 4096 + 16);
+  std::string_view view(buffer);
+  for (int trial = 0; trial < 500; ++trial) {
+    size_t offset = static_cast<size_t>(rng.NextBounded(16));
+    size_t length = static_cast<size_t>(rng.NextBounded(4096));
+    uint32_t seed = trial % 2 == 0 ? 0u : static_cast<uint32_t>(rng.NextU64());
+    std::string_view piece = view.substr(offset, length);
+    ASSERT_EQ(Crc32(piece, seed), ReferenceCrc32(piece, seed))
+        << "offset " << offset << " length " << length << " seed " << seed;
+  }
 }
 
 // --------------------------------------------------------------- round trips

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/result.h"
 #include "util/rng.h"
@@ -229,6 +231,29 @@ TEST_P(ZipfRangeTest, InRange) {
 }
 INSTANTIATE_TEST_SUITE_P(Sizes, ZipfRangeTest,
                          ::testing::Values(1, 2, 7, 40, 1000));
+
+// NextZipf caches its sampler; the draws must stay those of a sampler
+// built fresh for every draw, for fixed and for alternating parameters.
+TEST(RngTest, NextZipfDrawsMatchAFreshSamplerPerDraw) {
+  const std::vector<std::pair<uint64_t, double>> params = {
+      {1, 1.0}, {7, 1.0}, {40, 0.8}, {1000, 1.0}, {5000, 1.5}};
+  for (const auto& [n, s] : params) {
+    Rng cached(1000 + n);
+    Rng fresh(1000 + n);
+    for (int i = 0; i < 1000; ++i) {
+      uint64_t expected = ZipfSampler(n, s).Sample(&fresh);
+      ASSERT_EQ(cached.NextZipf(n, s), expected)
+          << "n=" << n << " s=" << s << " draw " << i;
+    }
+  }
+  Rng cached(77);
+  Rng fresh(77);
+  for (int i = 0; i < 1000; ++i) {
+    const auto& [n, s] = params[static_cast<size_t>(i) % params.size()];
+    uint64_t expected = ZipfSampler(n, s).Sample(&fresh);
+    ASSERT_EQ(cached.NextZipf(n, s), expected) << "draw " << i;
+  }
+}
 
 // ------------------------------------------------------------ string_util
 

@@ -259,7 +259,12 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       "$tsan_dir"/tests/lru_cache_test &&
       # net_server_test drives the epoll TCP server end to end, including
       # the reload-under-live-traffic stress (the multi-threaded event
-      # loops racing a generation swap with zero dropped/mixed responses).
+      # loops racing a generation swap with zero dropped/mixed responses)
+      # and the off-loop reload cases: reload tasks on the pool hand their
+      # answers back through each loop's reload_done_mu queue while they
+      # take MatchService's reload_mu_ -> gen_mu_ -> core_mu_, so the
+      # detector checks the queue mutex never nests inside (or around)
+      # that order.
       "$tsan_dir"/tests/net_server_test &&
       "$tsan_dir"/tests/protocol_robustness_test &&
       # ingest_test covers destroying a matcher while its pool-queued
