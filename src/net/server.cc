@@ -77,8 +77,8 @@ struct Server::Loop {
   std::vector<std::unique_ptr<Connection>> parked;
   size_t reloads_in_flight = 0;
   Clock::time_point last_idle_sweep;
-  // Reload tasks push their answer here and bump the eventfd; the loop
-  // takes the queue on kReloadDoneTag.
+  // Reload tasks push their answer here and bump the eventfd, both under
+  // reload_done_mu; the loop takes the queue on kReloadDoneTag.
   int reload_done_fd = -1;
   util::Mutex reload_done_mu;
   std::vector<ReloadDone> reload_done WIKIMATCH_GUARDED_BY(reload_done_mu);
@@ -370,10 +370,13 @@ void Server::StartReload(Loop* loop, Connection* conn,
     } catch (...) {
       response = "err reload failed: internal error\n";
     }
-    {
-      util::MutexLock lock(loop->reload_done_mu);
-      loop->reload_done.push_back({conn, std::move(response)});
-    }
+    // The push and the eventfd write share one critical section, and
+    // nothing after it touches the Loop: once the loop thread has taken
+    // this entry, the task is done with the (stack-allocated) Loop. Drain
+    // relies on that — a wake raised by another reload may hand this entry
+    // over before this task's handle was ever waited on.
+    util::MutexLock lock(loop->reload_done_mu);
+    loop->reload_done.push_back({conn, std::move(response)});
     uint64_t one = 1;
     ssize_t ignored = ::write(loop->reload_done_fd, &one, sizeof(one));
     (void)ignored;

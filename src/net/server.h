@@ -26,8 +26,8 @@
 //    cost grows with the snapshot (map, CRC, decode, index build), so it
 //    runs as a task on the shared pool (util::thread_pool_async). The
 //    loop keeps answering every other connection from the old generation
-//    meanwhile; the task decodes, swaps, and then frees the retired
-//    generation itself once its last reader lets go (see
+//    meanwhile; the task decodes and swaps, and the retired generation is
+//    freed on the pool once its last reader lets go (see
 //    match_service.h). Per-connection order holds because a connection
 //    with a reload in flight pops no further line and reads nothing until
 //    the task hands its answer back through the loop's completion queue

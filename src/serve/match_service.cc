@@ -2,12 +2,12 @@
 
 #include <ctime>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "serve/protocol.h"
 #include "store/snapshot.h"
 #include "text/normalize.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace serve {
@@ -83,23 +83,11 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Frees a generation Reload() swapped out, on the calling thread. Readers
-// that pinned it before the swap hold it for one request at most, and no
-// new pin can appear (it is no longer published), so the wait is bounded
-// by the slowest request in flight.
-template <typename T>
-void DestroyWhenUnpinned(std::shared_ptr<T> retired) {
-  if (retired == nullptr) return;
-  while (retired.use_count() > 1) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  retired.reset();
-}
-
 }  // namespace
 
 bool IsReloadRequest(const std::string& line) {
-  // Every request passes through here, so rule most out without a token.
+  // net::Server routes every line it reads through here, so rule most out
+  // without a token.
   if (line.find("reload") == std::string::npos) return false;
   size_t pos = 0;
   std::string command;
@@ -112,7 +100,7 @@ util::Result<std::unique_ptr<MatchService>> MatchService::Load(
   if (!mapped.ok()) return mapped.status();
   // Defer decoding: only the meta section (a few hundred bytes) is read
   // now, so Load() costs the same for any snapshot size.
-  auto boot = std::make_shared<GenerationState>();
+  auto boot = NewGeneration();
   const store::MappedSnapshot& snap = *mapped.ValueOrDie();
   for (size_t i = 0; i < snap.num_sections(); ++i) {
     if (snap.section_kind(i) != store::SectionKind::kMeta) continue;
@@ -159,10 +147,21 @@ MatchService::MatchService(const ServiceOptions& options)
       cache_(options.cache_capacity, options.cache_shards),
       started_(Clock::now()) {}
 
+std::shared_ptr<MatchService::GenerationState> MatchService::NewGeneration() {
+  // Freeing a large generation takes tens of milliseconds, and whoever
+  // drops the last pin would pay it: a reader finishing its request, or
+  // Reload() after the swap. The deleter hands the free to the shared
+  // pool instead, so that thread pays only a queue push.
+  return std::shared_ptr<GenerationState>(
+      new GenerationState(), [](const GenerationState* gen) {
+        util::thread_pool_async([gen] { delete gen; });
+      });
+}
+
 std::shared_ptr<const MatchService::GenerationState>
 MatchService::BuildGeneration(store::Snapshot snapshot, uint64_t load_seq,
                               std::shared_ptr<store::MappedSnapshot> mapped) {
-  auto gen = std::make_shared<GenerationState>();
+  auto gen = NewGeneration();
   gen->snapshot = std::move(snapshot);
   gen->mapped = std::move(mapped);
   gen->load_seq = load_seq;
@@ -255,45 +254,42 @@ MatchService::Core() const {
 }
 
 util::Status MatchService::Reload(const std::string& path) {
+  // Declared before the lock so the generations swapped out below are
+  // released after it (their deleter only queues the free; see
+  // NewGeneration).
   std::shared_ptr<const GenerationState> retired;
   std::shared_ptr<const GenerationState> retired_boot;
-  {
-    // One writer at a time; readers are never blocked by a rebuild.
-    util::MutexLock reload_lock(reload_mu_);
-    std::string source = path.empty() ? source_path_ : path;
-    if (source.empty()) {
-      return util::Status::InvalidArgument(
-          "no snapshot path to reload from (service was built in memory; "
-          "pass an explicit path)");
-    }
-    // Deliberately eager, unlike Load(): decode *before* swapping so that
-    // on any error the previous generation keeps serving untouched.
-    auto mapped = store::MappedSnapshot::Map(source);
-    if (!mapped.ok()) return mapped.status();
-    auto snapshot = mapped.ValueOrDie()->Decode();
-    if (!snapshot.ok()) return snapshot.status();
-    auto gen = BuildGeneration(std::move(snapshot).ValueOrDie(),
-                               loads_.load(std::memory_order_relaxed) + 1,
-                               std::move(mapped).ValueOrDie());
-    {
-      util::MutexLock lock(gen_mu_);
-      retired = std::exchange(gen_, std::move(gen));
-      // Once gen_ is set the boot generation is never read again; dropping
-      // it releases the mapping of the file the service booted from.
-      retired_boot = std::exchange(boot_gen_, nullptr);
-    }
-    {
-      // A fresh generation supersedes any sticky lazy-decode failure.
-      util::MutexLock core_lock(core_mu_);
-      core_error_ = util::Status::OK();
-    }
-    loads_.fetch_add(1, std::memory_order_relaxed);
-    source_path_ = source;
+  // One writer at a time; readers are never blocked by a rebuild.
+  util::MutexLock reload_lock(reload_mu_);
+  std::string source = path.empty() ? source_path_ : path;
+  if (source.empty()) {
+    return util::Status::InvalidArgument(
+        "no snapshot path to reload from (service was built in memory; "
+        "pass an explicit path)");
   }
-  // Outside every lock: the wait covers readers still finishing a request
-  // on the old generation, and the free itself can take tens of ms.
-  DestroyWhenUnpinned(std::move(retired));
-  DestroyWhenUnpinned(std::move(retired_boot));
+  // Deliberately eager, unlike Load(): decode *before* swapping so that on
+  // any error the previous generation keeps serving untouched.
+  auto mapped = store::MappedSnapshot::Map(source);
+  if (!mapped.ok()) return mapped.status();
+  auto snapshot = mapped.ValueOrDie()->Decode();
+  if (!snapshot.ok()) return snapshot.status();
+  auto gen = BuildGeneration(std::move(snapshot).ValueOrDie(),
+                             loads_.load(std::memory_order_relaxed) + 1,
+                             std::move(mapped).ValueOrDie());
+  {
+    util::MutexLock lock(gen_mu_);
+    retired = std::exchange(gen_, std::move(gen));
+    // Once gen_ is set the boot generation is never read again; dropping
+    // it releases the mapping of the file the service booted from.
+    retired_boot = std::exchange(boot_gen_, nullptr);
+  }
+  {
+    // A fresh generation supersedes any sticky lazy-decode failure.
+    util::MutexLock core_lock(core_mu_);
+    core_error_ = util::Status::OK();
+  }
+  loads_.fetch_add(1, std::memory_order_relaxed);
+  source_path_ = source;
   return util::Status::OK();
 }
 
@@ -466,6 +462,16 @@ std::string MatchService::Dispatch(const GenerationState& gen,
        << " deltas_applied=" << gen.snapshot.meta.history.size();
     return RenderOk({os.str()});
   }
+  if (command == "reload") {
+    std::string target = RestOfLine(line, pos);
+    util::Status status = Reload(target);
+    if (!status.ok()) return RenderErr(status.ToString());
+    auto fresh = Current();
+    std::ostringstream os;
+    os << "reloaded generation=" << fresh->snapshot.meta.generation
+       << " load_seq=" << fresh->load_seq;
+    return RenderOk({os.str()});
+  }
   if (command == "pairs") {
     std::vector<std::string> lines;
     for (const auto& [pair, serving] : gen.pairs) {
@@ -627,38 +633,18 @@ namespace {
 
 // Verbs a meta-only boot generation can answer, so an mmap-loaded service
 // responds to health checks and protocol chatter before (and regardless
-// of) the first core decode. (`reload` never reaches the pinned path, so a
-// corrupt snapshot can be replaced without first paying — or failing — a
-// decode of the bad one.)
+// of) the first core decode. `reload` is here so a corrupt snapshot can be
+// replaced without first paying — or failing — a decode of the bad one.
 bool IsCoreFreeVerb(const std::string& command) {
   return command == "help" || command == "quit" || command == "exit" ||
          command == "health" || command == "version" ||
-         command == "generation";
+         command == "generation" || command == "reload";
 }
 
 }  // namespace
 
-std::string MatchService::HandleReload(const std::string& line) {
-  size_t pos = 0;
-  std::string command;
-  NextToken(line, &pos, &command);
-  util::Status status = Reload(RestOfLine(line, pos));
-  if (!status.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    return RenderErr(status.ToString());
-  }
-  auto fresh = Current();
-  std::ostringstream os;
-  os << "reloaded generation=" << fresh->snapshot.meta.generation
-     << " load_seq=" << fresh->load_seq;
-  return RenderOk({os.str()});
-}
-
 std::string MatchService::Handle(const std::string& line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  // Reload() frees the generation it retires once no reader pins it, so
-  // this request must not be one of those readers.
-  if (IsReloadRequest(line)) return HandleReload(line);
   // Pin one generation for the whole request. The cache key carries its
   // load sequence so a swap instantly invalidates every older entry
   // (they become unaddressable and age out of the LRU).

@@ -8,12 +8,11 @@
 // immutable Generation object held by shared_ptr. Readers pin the current
 // generation for the duration of one request; Reload() builds the next
 // generation entirely off the read path and then swaps the pointer, so
-// in-flight requests finish against the generation they started on (RCU by
-// shared_ptr). The retired generation is destroyed by the thread that ran
-// Reload(), once the last reader has unpinned it — never under a lock and
-// never on a reader, whose request would otherwise pay the tens of
-// milliseconds a large generation takes to free. A `reload` request line
-// therefore pins nothing itself (it would wait on its own pin).
+// in-flight requests finish against the generation they started on and the
+// old one is released when its last reader drops it (RCU by shared_ptr).
+// Every generation's deleter queues the actual free on the shared pool
+// (util::thread_pool_async), so neither that reader nor Reload() pays the
+// tens of milliseconds a large generation takes to free.
 // Cache keys are tagged with the generation's load sequence number, which
 // invalidates every cached response at swap time without touching the
 // cache: stale entries simply stop being addressable and age out of the
@@ -123,9 +122,7 @@ class MatchService {
   /// \brief Builds serving indexes for the snapshot at `path` (or, with an
   /// empty path, the path of the last successful load) off the read path,
   /// then atomically swaps it in. On error the previous generation keeps
-  /// serving untouched. Concurrent Reload() calls are serialized. Before
-  /// returning, waits for readers still pinning the replaced generation to
-  /// finish and frees it on the calling thread.
+  /// serving untouched. Concurrent Reload() calls are serialized.
   util::Status Reload(const std::string& path = "");
 
   // ---- Typed API (uncached) ----------------------------------------------
@@ -206,6 +203,9 @@ class MatchService {
 
   explicit MatchService(const ServiceOptions& options);
 
+  /// An empty generation whose deleter frees it on the shared pool.
+  static std::shared_ptr<GenerationState> NewGeneration();
+
   static std::shared_ptr<const GenerationState> BuildGeneration(
       store::Snapshot snapshot, uint64_t load_seq,
       std::shared_ptr<store::MappedSnapshot> mapped);
@@ -217,10 +217,6 @@ class MatchService {
   /// The decoded core, materializing it on first call after Load(). A
   /// decode failure is sticky until a successful Reload().
   util::Result<std::shared_ptr<const GenerationState>> Core() const;
-
-  /// The `reload` verb: Reload() plus its one-line answer. Runs without a
-  /// pinned generation.
-  std::string HandleReload(const std::string& line);
 
   /// Uncached dispatch against one pinned generation.
   std::string Dispatch(const GenerationState& gen, const std::string& line,

@@ -129,8 +129,18 @@ ThreadPool::~ThreadPool() {
   work_cv_.NotifyAll();
   for (auto& worker : workers_) worker.join();
   // Tasks no worker started still complete — on this thread — so every
-  // TaskHandle this pool issued can be waited on after destruction.
-  for (auto& task : leftover) RunAsyncTask(task.get());
+  // TaskHandle this pool issued can be waited on after destruction. That
+  // includes tasks submitted meanwhile (a finishing task may queue more,
+  // e.g. a generation deleter), hence the loop.
+  for (;;) {
+    for (auto& task : leftover) RunAsyncTask(task.get());
+    leftover.clear();
+    {
+      MutexLock lock(mu_);
+      leftover.swap(async_queue_);
+    }
+    if (leftover.empty()) break;
+  }
 }
 
 void ThreadPool::For(size_t n, size_t max_workers,

@@ -108,8 +108,9 @@ class ThreadPool {
   explicit ThreadPool(size_t num_threads = 0);
 
   /// \brief Joins the workers. Queued async tasks that no worker started
-  /// are run on the destroying thread first, so every TaskHandle issued
-  /// by this pool completes. Must not race an in-flight For().
+  /// are run on the destroying thread first (also those queued while the
+  /// pool shuts down), so every TaskHandle issued by this pool completes.
+  /// Must not race an in-flight For().
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -311,6 +311,28 @@ TEST(ThreadPoolTest, DestructorCompletesQueuedTasks) {
   EXPECT_EQ(handle.error(), nullptr);
 }
 
+TEST(ThreadPoolTest, DestructorCompletesTasksQueuedDuringShutdown) {
+  // A task the destructor runs may itself submit to the pool (a deferred
+  // free, say). That task lands after the destructor took the queue and
+  // must still run.
+  std::atomic<bool> started{false};
+  std::atomic<bool> nested_ran{false};
+  {
+    util::ThreadPool pool(1);
+    (void)pool.Async([&]() {
+      started.store(true, std::memory_order_release);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    });
+    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+    // The only worker is busy, so this is still queued when the
+    // destructor begins (whichever thread ends up running it).
+    (void)pool.Async([&]() {
+      (void)pool.Async([&]() { nested_ran.store(true); });
+    });
+  }
+  EXPECT_TRUE(nested_ran.load());
+}
+
 TEST(ThreadPoolTest, ScopedOverrideRedirectsGlobalAndNests) {
   util::ThreadPool* base = util::ThreadPool::Global();
   util::ThreadPool inner_pool(2);
